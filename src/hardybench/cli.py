@@ -5,8 +5,9 @@ configuration) or a single JSON object {config, rows, checks}.  Identical
 configurations, including the seed, produce byte-identical files: rows are
 sorted by their parameter tuple and floats are written with repr.
 
-Exit codes: 0 success, 1 verification failure or internal inconsistency,
-2 usage error.
+Exit codes: 0 success, 1 verification failure, internal inconsistency or
+numerical failure (NoConvergenceError and other RuntimeErrors), 2 usage
+error.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass
 
@@ -69,7 +71,10 @@ class RunConfig:
 def _parse_p(text: str) -> float:
     if text in ("inf", "Inf", "INF", "oo"):
         return INF
-    return float(text)
+    value = float(text)
+    if not (math.isfinite(value) or value == INF):
+        raise ValueError(f"exponent must be a number or inf, got {text!r}")
+    return value
 
 
 def _parse_list(text: str, cast=float) -> list:
@@ -82,7 +87,7 @@ def _parse_range(text: str) -> list[float]:
         lo, hi, step = (float(t) for t in text.split(":"))
         n = int(round((hi - lo) / step))
         return [lo + i * step for i in range(n + 1) if lo + i * step <= hi + 1e-12]
-    return _parse_list(text)
+    return _parse_list(text, _parse_p)
 
 
 def _parse_kernel(text: str) -> KernelSpec:
@@ -198,7 +203,7 @@ def cmd_opnorm(cfg: RunConfig) -> tuple[list[dict], list[dict]]:
         lower = 1.0  # (I - C_K) fixes a high frequency on the analytic span
     else:
         lower = franchetti_cp(p).value if p < INF else 2.0
-    if est.value > upper + 1e-6:
+    if not (est.value <= upper + 1e-6):
         raise InternalInconsistencyError(
             f"certified lower bound {est.value} exceeds the proven upper bound {upper}"
         )
@@ -284,7 +289,7 @@ def cmd_sweep(cfg: RunConfig) -> tuple[list[dict], list[dict]]:
                     )
     rows.sort(key=lambda r: (r["p"], r["n"] if r["n"] is not None else -1, r["degree"]))
     for row in rows:
-        if row["estimate"] > row["upper_analytic"] + 1e-6:
+        if not (row["estimate"] <= row["upper_analytic"] + 1e-6):
             raise InternalInconsistencyError(
                 f"estimate {row['estimate']} exceeds upper bound in row {row}"
             )
@@ -562,6 +567,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except InternalInconsistencyError as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
+        return 1
+    except RuntimeError as exc:  # NoConvergenceError and other numerical failures
+        print(f"error: {exc}", file=sys.stderr)
         return 1
     _write(cfg, _emit(cfg, rows, checks))
     if checks and not all(c["passed"] for c in checks):

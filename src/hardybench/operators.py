@@ -210,6 +210,27 @@ def synthesis_matrix(grid: CircleGrid, degree: int) -> np.ndarray:
     return np.exp(1j * np.outer(grid.theta, np.arange(degree + 1)))
 
 
+def analytic_synthesis(c: np.ndarray, n_points: int) -> np.ndarray:
+    """Grid samples of analytic polynomials, one per coefficient row of c.
+
+    A zero-padded inverse FFT: the rows of c @ synthesis_matrix(grid, d).T.
+    """
+    if c.shape[-1] > n_points:
+        raise DegreeExceedsGridError(
+            f"degree {c.shape[-1] - 1} needs more than {n_points} grid points"
+        )
+    return np.fft.ifft(c, n=n_points, norm="forward")
+
+
+def analytic_analysis(x: np.ndarray, degree: int) -> np.ndarray:
+    """Coefficients 0..degree of the grid samples in each row of x.
+
+    The forward FFT scaled by 1/N: the orthogonal projection onto the
+    analytic span, the rows of x @ synthesis_matrix(grid, d).conj() / N.
+    """
+    return np.fft.fft(x, norm="forward")[..., : degree + 1]
+
+
 def grid_image(op: OperatorRep, c: np.ndarray) -> np.ndarray:
     """Samples of A applied to the analytic polynomial with coefficients c."""
     if op.basis != "analytic":

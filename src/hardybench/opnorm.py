@@ -16,7 +16,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import OracleTooLargeError, UnsupportedExactError
-from .operators import OperatorRep, synthesis_matrix
+from .operators import (
+    OperatorRep,
+    analytic_analysis,
+    analytic_synthesis,
+    synthesis_matrix,
+)
 from .spaces import INF, WeightedLp, holder_conjugate
 
 DEFAULT_SEED = 0x4841524459  # ascii bytes of "HARDY"; reproducible tables
@@ -42,19 +47,23 @@ class NormEstimate:
 # ---------------------------------------------------------------------------
 
 
-def _vec_lp(v: np.ndarray, p: float) -> float:
+def _row_lp(v: np.ndarray, p: float) -> np.ndarray:
+    """l^p norms along the last axis."""
     a = np.abs(v)
     if p == INF:
-        return float(np.max(a))
-    return float(np.sum(a**p) ** (1.0 / p))
+        return np.max(a, axis=-1)
+    return np.sum(a**p, axis=-1) ** (1.0 / p)
+
+
+def _vec_lp(v: np.ndarray, p: float) -> float:
+    return float(_row_lp(v, p))
 
 
 def _dualize(y: np.ndarray, p: float) -> np.ndarray:
-    """Complex duality map sign(y)|y|^{p-1}, with 0 -> 0."""
+    """Complex duality map sign(y)|y|^{p-1}, elementwise, with 0 -> 0."""
     a = np.abs(y)
-    out = np.zeros_like(y, dtype=complex)
-    nz = a > 0.0
-    out[nz] = (y[nz] / a[nz]) * a[nz] ** (p - 1.0)
+    out = np.divide(y, a, out=np.zeros_like(y, dtype=complex), where=a > 0.0)
+    out *= a ** (p - 1.0)
     return out
 
 
@@ -68,9 +77,8 @@ def certified_ratio(op: OperatorRep, witness: np.ndarray, p: float) -> float:
     """||A w||_p / ||w||_p in the operator's own domain; always a lower bound."""
     w = _weight_vector(op)
     if op.basis == "analytic":
-        e = synthesis_matrix(op.grid, op.degree)
-        num = e @ (op.matrix @ witness)
-        den = e @ witness
+        num = analytic_synthesis(op.matrix @ witness, op.grid.n_points)
+        den = analytic_synthesis(witness, op.grid.n_points)
     else:
         num = op.apply(witness)
         den = witness
@@ -387,9 +395,10 @@ def _coeff_starts(op: OperatorRep, n_random: int, seed: int) -> list[np.ndarray]
         spike = np.zeros(d + 1, dtype=complex)
         spike[k] = 1.0
         starts.append(spike)
+    adj = op.matrix.conj().T
     _, svec, _, _ = _top_singular_pair(
         lambda c: op.matrix @ c,
-        lambda c: op.matrix.conj().T @ c,
+        lambda c: adj @ c,
         d + 1,
         1e-8,
         2000,
@@ -404,48 +413,59 @@ def _coeff_starts(op: OperatorRep, n_random: int, seed: int) -> list[np.ndarray]
     return starts
 
 
-def _subspace_smooth_ascent(op, e_mat, c0, p, tol, max_iter):
-    """Projected dual-vector iteration on grid samples, 1 < p < inf.
+def _subspace_ascent(op, c0, p, tol, max_iter):
+    """Projected dual-vector iteration on grid samples, 1 < p < inf, run
+    from every start (row of c0) at once.
 
     The dual update leaves the analytic span, so it is orthogonally
-    projected back (Riesz-type projection) before renormalizing.
+    projected back (Riesz-type projection) before renormalizing.  Each row
+    keeps its own stop rule and best iterate, and leaves the batch when it
+    stops.  Returns per-row arrays: best value, best coefficients,
+    iterations and convergence; a zero start gives value 0 at itself.
     """
-    n, w = e_mat.shape[0], 1.0 / e_mat.shape[0]
+    n, degree = op.grid.n_points, op.degree
     pprime = holder_conjugate(p)
+    mat = np.asarray(op.matrix, dtype=complex)
+    a_t = mat.T  # c @ a_t is A c, row-wise
+    a_h_t = mat.conj()  # c @ a_h_t is A^H c, row-wise
+    c0 = np.asarray(c0, dtype=complex)
+    best_val = np.full(c0.shape[0], -1.0)
+    best_c = c0.copy()
+    iters = np.zeros(c0.shape[0], dtype=int)
+    converged = np.ones(c0.shape[0], dtype=bool)
 
-    def project_coeffs(x):
-        return w * (e_mat.conj().T @ x)
-
-    def g_apply(x):
-        return e_mat @ (op.matrix @ project_coeffs(x))
-
-    def g_adjoint(x):
-        return e_mat @ (op.matrix.conj().T @ project_coeffs(x))
-
-    x = e_mat @ c0
-    nx = _vec_lp(x, p)
-    if nx == 0.0:
-        return 0.0, c0, 0, True
-    x = x / nx
-    best_val, best_x = -1.0, x
-    prev = -1.0
+    x = analytic_synthesis(c0, n)
+    nx = _row_lp(x, p)
+    best_val[nx == 0.0] = 0.0
+    rows = np.flatnonzero(nx != 0.0)  # original row of each live row
+    x = x[rows] / nx[rows, None]
+    prev = np.full(rows.size, -1.0)
     for it in range(max_iter):
-        y = g_apply(x)
-        val = _vec_lp(y, p)
-        if val > best_val:
-            best_val, best_x = val, x
-        if val == 0.0:
-            return max(best_val, 0.0), project_coeffs(best_x), it + 1, True
-        if prev >= 0.0 and val - prev <= tol * val:
-            return best_val, project_coeffs(best_x), it + 1, True
+        if rows.size == 0:
+            break
+        c = analytic_analysis(x, degree)
+        y = analytic_synthesis(c @ a_t, n)
+        val = _row_lp(y, p)
+        up = val > best_val[rows]
+        best_val[rows[up]] = val[up]
+        best_c[rows[up]] = c[up]
+        stop = (val == 0.0) | ((prev >= 0.0) & (val - prev <= tol * val))
+        if stop.any():
+            iters[rows[stop]] = it + 1
+            keep = ~stop
+            rows, y, val = rows[keep], y[keep], val[keep]
         prev = val
-        z = g_adjoint(_dualize(y, p))
-        xn = e_mat @ project_coeffs(_dualize(z, pprime))
-        nn = _vec_lp(xn, p)
-        if nn == 0.0:
-            return best_val, project_coeffs(best_x), it + 1, True
-        x = xn / nn
-    return best_val, project_coeffs(best_x), max_iter, False
+        z = analytic_synthesis(analytic_analysis(_dualize(y, p), degree) @ a_h_t, n)
+        xn = analytic_synthesis(analytic_analysis(_dualize(z, pprime), degree), n)
+        nn = _row_lp(xn, p)
+        if np.any(nn == 0.0):
+            iters[rows[nn == 0.0]] = it + 1
+            keep = nn != 0.0
+            rows, prev, xn, nn = rows[keep], prev[keep], xn[keep], nn[keep]
+        x = xn / nn[:, None]
+    iters[rows] = max_iter
+    converged[rows] = False
+    return best_val, best_c, iters, converged
 
 
 def _subspace_exchange_ascent(op, e_mat, c0, p, max_iter=300, stall=30):
@@ -460,9 +480,11 @@ def _subspace_exchange_ascent(op, e_mat, c0, p, max_iter=300, stall=30):
     n = e_mat.shape[0]
     w = 1.0 / n
     mat = op.matrix
+    e_adj = e_mat.conj().T
+    mat_adj = mat.conj().T
 
     def project(x):
-        return w * (e_mat.conj().T @ x)
+        return w * (e_adj @ x)
 
     def ratio(c):
         den = _vec_lp(e_mat @ c, p)
@@ -478,12 +500,12 @@ def _subspace_exchange_ascent(op, e_mat, c0, p, max_iter=300, stall=30):
         if p == INF:
             j = int(np.argmax(np.abs(y)))
             sigma = y[j] / max(abs(y[j]), 1e-300)
-            row = ((e_mat[j] @ mat) @ e_mat.conj().T) * w
+            row = ((e_mat[j] @ mat) @ e_adj) * w
             cand = np.where(
                 np.abs(row) > 0.0, sigma * np.conj(row) / np.abs(row), sigma
             )
         else:  # p == 1
-            z = e_mat @ (mat.conj().T @ project(np.where(y != 0, y / np.abs(y), 0)))
+            z = e_mat @ (mat_adj @ project(np.where(y != 0, y / np.abs(y), 0)))
             cand = np.zeros(n, dtype=complex)
             l = int(np.argmax(np.abs(z)))
             cand[l] = z[l] / max(abs(z[l]), 1e-300)
@@ -516,39 +538,27 @@ def subspace_norm(
     """
     if op.basis != "analytic":
         raise ValueError("subspace_norm expects an analytic-basis operator")
-    if p != INF and p < 1.0:
+    if not (p == INF or p >= 1.0):
         raise ValueError(f"p must lie in [1, inf], got {p}")
     if p == 2.0:
-        est = exact_norm_p2(op, seed=seed)
-        return NormEstimate(
-            value=est.value,
-            witness=est.witness,
-            method="power",
-            n_starts=est.n_starts,
-            n_iters=est.n_iters,
-        )
-    e_mat = synthesis_matrix(op.grid, op.degree)
+        return exact_norm_p2(op, seed=seed)
     start_list = _coeff_starts(op, starts, seed)
-    total_iters = 0
-    all_converged = True
-    best_val, best_c = -1.0, start_list[0]
-
-    for c0 in start_list:
-        if p == 1.0 or p == INF:
+    if p == 1.0 or p == INF:
+        # smooth near-endpoint ascent from every start, certified at true p
+        _, smooth_c, iters, ok = _subspace_ascent(
+            op, start_list, 64.0 if p == INF else 1.02, tol, max_iter
+        )
+        e_mat = synthesis_matrix(op.grid, op.degree)
+        results = []
+        for c0, c2 in zip(start_list, smooth_c):
             val, c = _subspace_exchange_ascent(op, e_mat, c0, p)
-            # smooth near-endpoint ascent from the same start, certified at true p
-            _, c2, iters, ok = _subspace_smooth_ascent(
-                op, e_mat, c0, 64.0 if p == INF else 1.02, tol, max_iter
-            )
             r2 = certified_ratio(op, c2, p) if np.any(c2 != 0) else 0.0
-            if r2 > val:
-                val, c = r2, c2
-        else:
-            val, c, iters, ok = _subspace_smooth_ascent(
-                op, e_mat, c0, p, tol, max_iter
-            )
-        total_iters += iters
-        all_converged = all_converged and ok
+            results.append((r2, c2) if r2 > val else (val, c))
+    else:
+        vals, cs, iters, ok = _subspace_ascent(op, start_list, p, tol, max_iter)
+        results = zip(vals, cs)
+    best_val, best_c = -1.0, start_list[0]
+    for val, c in results:
         if val > best_val and np.any(c != 0):
             best_val, best_c = val, c
     value = certified_ratio(op, best_c, p)
@@ -557,8 +567,8 @@ def subspace_norm(
         witness=best_c,
         method="power",
         n_starts=len(start_list),
-        n_iters=total_iters,
-        converged=all_converged,
+        n_iters=int(iters.sum()),
+        converged=bool(ok.all()),
     )
 
 

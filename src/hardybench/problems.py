@@ -28,8 +28,8 @@ from .operators import (
 from .opnorm import (
     DEFAULT_SEED,
     NormEstimate,
+    _subspace_ascent,
     _subspace_exchange_ascent,
-    _subspace_smooth_ascent,
     certified_ratio,
     exact_norm_endpoint,
     exact_norm_p2,
@@ -98,18 +98,20 @@ def fejer_lp_estimate(
 def _polish_subspace(op, witness, p, seed, trials=4, noise=1e-3):
     """Perturb a (possibly saddle-point) witness and re-ascend; returns the
     best certified ratio and witness."""
-    e_mat = synthesis_matrix(op.grid, op.degree)
     best_val = certified_ratio(op, witness, p)
     best_w = witness
     scale = np.linalg.norm(witness)
+    starts = []
     for t in range(trials):
         rng = np.random.default_rng([seed, 7, t])
         bump = rng.standard_normal(witness.size) + 1j * rng.standard_normal(witness.size)
-        start = witness + noise * scale / np.linalg.norm(bump) * bump
-        if p == 1.0 or p == INF:
-            _, cand = _subspace_exchange_ascent(op, e_mat, start, p)
-        else:
-            _, cand, _, _ = _subspace_smooth_ascent(op, e_mat, start, p, 1e-12, 5000)
+        starts.append(witness + noise * scale / np.linalg.norm(bump) * bump)
+    if p == 1.0 or p == INF:
+        e_mat = synthesis_matrix(op.grid, op.degree)
+        cands = [_subspace_exchange_ascent(op, e_mat, start, p)[1] for start in starts]
+    else:
+        _, cands, _, _ = _subspace_ascent(op, starts, p, 1e-12, 5000)
+    for cand in cands:
         if np.any(cand != 0):
             val = certified_ratio(op, cand, p)
             if val > best_val:

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import time
 
 import numpy as np
 import pytest
@@ -107,6 +108,48 @@ class TestOpnormCommand:
         )
         assert code == 1
         assert "inconsistency" in err
+
+    def test_nan_estimate_fails_the_bound_gate(self, capsys, monkeypatch):
+        from hardybench.opnorm import NormEstimate
+
+        def nan_estimate(*args, **kwargs):
+            return NormEstimate(value=float("nan"), witness=np.ones(4), method="power")
+
+        monkeypatch.setattr(cli, "fejer_lp_estimate", nan_estimate)
+        code, _, err = run_cli(
+            ["opnorm", "--kernel", "fejer:0", "--space", "lp", "--p", "3", "-N", "64"],
+            capsys,
+        )
+        assert code == 1
+        assert "inconsistency" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["opnorm", "--kernel", "fejer:1", "--space", "hp", "--p", "nan", "-N", "64", "-d", "4"],
+            ["sweep", "--problem", "problem2", "--p", "1.5,nan", "-N", "64", "-d", "4"],
+            ["constants", "--p", "nan"],
+        ],
+    )
+    def test_nan_p_is_usage_error(self, capsys, argv):
+        t0 = time.perf_counter()
+        code, out, err = run_cli(argv, capsys)
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 2
+        assert out == ""
+        assert "error:" in err
+
+    def test_no_convergence_exits_one(self, capsys, monkeypatch):
+        from hardybench.errors import NoConvergenceError
+
+        def stalls(cfg):
+            raise NoConvergenceError("Luxemburg bracket expansion failed (upper)")
+
+        monkeypatch.setitem(cli._COMMANDS, "verify", stalls)
+        code, out, err = run_cli(["verify", "orlicz"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == "error: Luxemburg bracket expansion failed (upper)\n"
 
     def test_bad_kernel_is_usage_error(self, capsys):
         code, _, err = run_cli(

@@ -20,8 +20,18 @@ from hardybench import (
     power_method_pnorm,
     subspace_norm,
 )
-from hardybench.errors import OracleTooLargeError, UnsupportedExactError
-from hardybench.operators import OperatorRep
+from hardybench.errors import (
+    DegreeExceedsGridError,
+    OracleTooLargeError,
+    UnsupportedExactError,
+)
+from hardybench.operators import (
+    OperatorRep,
+    analytic_analysis,
+    analytic_synthesis,
+    synthesis_matrix,
+)
+from hardybench.opnorm import DEFAULT_SEED, _coeff_starts, _subspace_ascent, certified_ratio
 from hardybench.problems import (
     endpoint_norm_identity_minus,
     fejer_difference_operator,
@@ -171,6 +181,7 @@ class TestSubspaceNorm:
     def test_backward_shift_h2(self, grid256):
         est = subspace_norm(backward_shift(12, grid256), 2.0)
         assert abs(est.value - 1.0) < 1e-10
+        assert est.method == "exact_p2"
 
     @pytest.mark.parametrize("n", [1, 3])
     def test_fejer_difference_h2(self, grid256, n):
@@ -197,6 +208,77 @@ class TestSubspaceNorm:
         est = subspace_norm(r, 3.0, starts=4)
         replay = lower_bound_certificate(r, est.witness, 3.0)
         assert abs(replay.value - est.value) < 1e-10 * est.value
+
+
+def _restricted_starts(n, degree, grid):
+    op = analytic_restriction(fejer_difference_operator(n, grid), degree)
+    return op, np.array(_coeff_starts(op, 4, DEFAULT_SEED))
+
+
+class TestBatchedSubspaceAscent:
+    @pytest.mark.parametrize("p", [1.5, 4.0])
+    def test_batch_matches_single_rows(self, grid256, p):
+        op, starts = _restricted_starts(1, 12, grid256)
+        vals, cs, iters, ok = _subspace_ascent(op, starts, p, 1e-10, 10_000)
+        for i, c0 in enumerate(starts):
+            v1, c1, it1, ok1 = _subspace_ascent(op, c0[None, :], p, 1e-10, 10_000)
+            assert abs(v1[0] - vals[i]) <= 1e-12 * vals[i]
+            assert np.max(np.abs(c1[0] - cs[i])) <= 1e-12 * np.max(np.abs(cs[i]))
+            assert (it1[0], ok1[0]) == (iters[i], ok[i])
+
+    def test_zero_start_keeps_other_rows(self, grid256):
+        op, starts = _restricted_starts(0, 10, grid256)
+        ref_vals, ref_cs, ref_iters, _ = _subspace_ascent(op, starts, 3.0, 1e-10, 10_000)
+        batch = np.insert(starts, 2, 0.0, axis=0)
+        vals, cs, iters, ok = _subspace_ascent(op, batch, 3.0, 1e-10, 10_000)
+        assert vals[2] == 0.0 and iters[2] == 0 and ok[2]
+        assert not np.any(cs[2])
+        others = np.arange(batch.shape[0]) != 2
+        assert np.allclose(vals[others], ref_vals, rtol=1e-12, atol=0.0)
+        assert np.array_equal(iters[others], ref_iters)
+        assert np.max(np.abs(cs[others] - ref_cs)) <= 1e-12 * np.max(np.abs(ref_cs))
+
+    def test_capped_row_reports_unconverged(self, grid256):
+        op, starts = _restricted_starts(0, 12, grid256)
+        _, _, iters, ok = _subspace_ascent(op, starts, 1.5, 1e-10, 10_000)
+        assert ok.all()
+        cap = int(iters.max()) - 1
+        assert np.sum(iters <= cap) >= 2  # some rows finish under the cap
+        _, _, capped_iters, capped_ok = _subspace_ascent(op, starts, 1.5, 1e-10, cap)
+        assert np.array_equal(capped_ok, iters <= cap)
+        assert np.array_equal(capped_iters, np.minimum(iters, cap))
+
+    @pytest.mark.parametrize("n_pts", [64, 65])
+    def test_fft_matches_synthesis_matrix(self, n_pts, rng):
+        g = make_grid(n_pts)
+        for d in (0, 1, 7, g.max_degree):
+            e = synthesis_matrix(g, d)
+            c = rng.standard_normal((3, d + 1)) + 1j * rng.standard_normal((3, d + 1))
+            x = rng.standard_normal((3, n_pts)) + 1j * rng.standard_normal((3, n_pts))
+            synth = analytic_synthesis(c, n_pts)
+            assert np.max(np.abs(synth - c @ e.T)) <= 1e-12 * np.max(np.abs(synth))
+            coeffs = analytic_analysis(x, d)
+            ref = x @ e.conj() / n_pts
+            assert np.max(np.abs(coeffs - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_fft_synthesis_rejects_degree_beyond_grid(self):
+        with pytest.raises(DegreeExceedsGridError):
+            analytic_synthesis(np.ones(65, dtype=complex), 64)
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 4.0, INF])
+    def test_certified_ratio_matches_synthesis_matrix(self, grid256, rng, p):
+        for op in (
+            backward_shift(20, grid256),
+            analytic_restriction(fejer_difference_operator(2, grid256), 20),
+        ):
+            e = synthesis_matrix(grid256, op.degree)
+            w = rng.standard_normal(21) + 1j * rng.standard_normal(21)
+            num, den = e @ (op.matrix @ w), e @ w
+            if p == INF:
+                ref = np.max(np.abs(num)) / np.max(np.abs(den))
+            else:
+                ref = (np.sum(np.abs(num) ** p) / np.sum(np.abs(den) ** p)) ** (1.0 / p)
+            assert abs(certified_ratio(op, w, p) - ref) <= 1e-13 * ref
 
 
 class TestBruteForceOracle:
