@@ -86,7 +86,8 @@ def _parse_range(text: str) -> list[float]:
     if ":" in text:
         lo, hi, step = (float(t) for t in text.split(":"))
         n = int(round((hi - lo) / step))
-        return [lo + i * step for i in range(n + 1) if lo + i * step <= hi + 1e-12]
+        # rounding keeps float drift (1.4000000000000001) out of the tables
+        return [round(lo + i * step, 12) for i in range(n + 1) if lo + i * step <= hi + 1e-12]
     return _parse_list(text, _parse_p)
 
 
@@ -168,6 +169,9 @@ def _estimate_identity_minus(kernel, space, p, n_grid, degree, starts, seed):
 def cmd_constants(cfg: RunConfig) -> tuple[list[dict], list[dict]]:
     ps = _parse_range(cfg.p) if cfg.p else [2.0]
     qs = _parse_range(cfg.q) if cfg.q else [None]
+    for q in qs:
+        if not (q is None or q >= 1.0):
+            raise ValueError(f"q must lie in [1, inf], got {q!r}")
     rows = []
     for p in sorted(ps):
         for q in sorted(qs, key=lambda v: (v is None, v)):
@@ -533,6 +537,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_usage(cfg: RunConfig) -> None:
+    """Reject option values that would run or pass silently, before any compute."""
+    if cfg.starts < 0:
+        raise ValueError(f"--starts must be >= 0, got {cfg.starts}")
+    uses_degree = cfg.command == "sweep" or (cfg.command == "opnorm" and cfg.space == "hp")
+    if uses_degree and cfg.degree < 1:
+        raise ValueError(f"--degree must be >= 1 for analytic subspaces, got {cfg.degree}")
+
+
 _COMMANDS = {
     "constants": cmd_constants,
     "opnorm": cmd_opnorm,
@@ -561,6 +574,7 @@ def main(argv: list[str] | None = None) -> int:
         problem=getattr(args, "problem", ""),
     )
     try:
+        _check_usage(cfg)
         rows, checks = _COMMANDS[cfg.command](cfg)
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

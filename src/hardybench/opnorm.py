@@ -139,6 +139,32 @@ def exact_norm_endpoint(op: OperatorRep, p: float) -> NormEstimate:
     )
 
 
+def _row_operator(op: OperatorRep, w: np.ndarray | None = None):
+    """Row-wise A and A^H of an operator: functions taking each row x of an
+    array (or a single vector) to A x and A^H x.  With a weight w they
+    apply the similarity D_w A D_w^{-1} and its adjoint instead.  Circulants
+    go through the FFT and build no N x N array; other operators are cast
+    (and weighted) once, so nothing is copied per call.
+    """
+    m = op.multipliers
+    if m is not None:
+        m_h = np.conj(m)
+        if w is None:
+            return (
+                lambda x: np.fft.ifft(np.fft.fft(x, axis=-1) * m, axis=-1),
+                lambda x: np.fft.ifft(np.fft.fft(x, axis=-1) * m_h, axis=-1),
+            )
+        return (
+            lambda x: w * np.fft.ifft(np.fft.fft(x / w, axis=-1) * m, axis=-1),
+            lambda x: np.fft.ifft(np.fft.fft(x * w, axis=-1) * m_h, axis=-1) / w,
+        )
+    mat = np.asarray(op.matrix, dtype=complex)
+    if w is not None:
+        mat = (mat * w[:, None]) / w[None, :]
+    a_t, a_h_t = mat.T, mat.conj()  # x @ a_t is A x, x @ a_h_t is A^H x
+    return (lambda x: x @ a_t), (lambda x: x @ a_h_t)
+
+
 def _top_singular_pair(matrix_apply, matrix_apply_adj, dim, tol, max_iter, rng_starts):
     """Largest singular value/vector by power iteration on the normal operator.
 
@@ -202,21 +228,20 @@ def exact_norm_p2(op: OperatorRep, tol: float = 1e-12, seed: int = DEFAULT_SEED)
             is_certified_lower_bound=False,
         )
     w = _weight_vector(op)
-    if op.basis == "grid" and w is not None:
-        mat = (op.matrix * w[:, None]) / w[None, :]
-        apply_fn = lambda x: mat @ x  # noqa: E731
-        adj_fn = lambda x: mat.conj().T @ x  # noqa: E731
+    weighted = op.basis == "grid" and w is not None
+    if weighted:
+        apply_fn, adj_fn = _row_operator(op, w)
     else:
-        mat = op.matrix
         apply_fn, adj_fn = op.apply, op.apply_adjoint
     rngs = [np.random.default_rng([seed, 2, i]) for i in range(4)]
     value, vec, iters, stalled = _top_singular_pair(
         apply_fn, adj_fn, op.dim, tol, _MAX_ITER, rngs
     )
     if stalled:
+        mat = (op.matrix * w[:, None]) / w[None, :] if weighted else op.matrix
         _, _, vh = np.linalg.svd(mat)
         vec = vh[0].conj()
-    if op.basis == "grid" and w is not None:
+    if weighted:
         vec = vec / w
     value = certified_ratio(op, vec, 2.0)
     return NormEstimate(
@@ -234,33 +259,53 @@ def exact_norm_p2(op: OperatorRep, tol: float = 1e-12, seed: int = DEFAULT_SEED)
 # ---------------------------------------------------------------------------
 
 
-def _boyd_ascent(apply_fn, adj_fn, x0, p, tol, max_iter):
-    """One run of the dual-vector iteration; returns (best value, witness, iters, converged)."""
+def _dual_ascent(apply_rows, adjoint_rows, x0, p, tol, max_iter, project=None):
+    """Dual-vector iteration for 1 < p < inf, run from every start (row of
+    x0) at once; `project`, if given, maps each dual update back onto the
+    subspace the iteration is confined to.
+
+    Each row keeps its own stop rule and best iterate, and leaves the batch
+    when it stops.  Returns per-row arrays: best value, best iterate,
+    iterations and convergence; a zero start gives value 0 at itself.
+    """
     pprime = holder_conjugate(p)
-    x = np.asarray(x0, dtype=complex)
-    nx = _vec_lp(x, p)
-    if nx == 0.0:
-        return 0.0, x0, 0, True
-    x = x / nx
-    best_val, best_x = -1.0, x
-    prev = -1.0
+    x0 = np.asarray(x0, dtype=complex)
+    best_val = np.full(x0.shape[0], -1.0)
+    best_x = x0.copy()
+    iters = np.zeros(x0.shape[0], dtype=int)
+    converged = np.ones(x0.shape[0], dtype=bool)
+
+    nx = _row_lp(x0, p)
+    best_val[nx == 0.0] = 0.0
+    rows = np.flatnonzero(nx != 0.0)  # original row of each live row
+    x = x0[rows] / nx[rows, None]
+    prev = np.full(rows.size, -1.0)
     for it in range(max_iter):
-        y = apply_fn(x)
-        val = _vec_lp(y, p)
-        if val > best_val:
-            best_val, best_x = val, x
-        if val == 0.0:
-            return max(best_val, 0.0), best_x, it + 1, True
-        if prev >= 0.0 and val - prev <= tol * val:
-            return best_val, best_x, it + 1, True
+        if rows.size == 0:
+            break
+        y = apply_rows(x)
+        val = _row_lp(y, p)
+        up = val > best_val[rows]
+        best_val[rows[up]] = val[up]
+        best_x[rows[up]] = x[up]
+        stop = (val == 0.0) | ((prev >= 0.0) & (val - prev <= tol * val))
+        if stop.any():
+            iters[rows[stop]] = it + 1
+            keep = ~stop
+            rows, y, val = rows[keep], y[keep], val[keep]
         prev = val
-        z = adj_fn(_dualize(y, p))
-        xn = _dualize(z, pprime)
-        nn = _vec_lp(xn, p)
-        if nn == 0.0:
-            return best_val, best_x, it + 1, True
-        x = xn / nn
-    return best_val, best_x, max_iter, False
+        xn = _dualize(adjoint_rows(_dualize(y, p)), pprime)
+        if project is not None:
+            xn = project(xn)
+        nn = _row_lp(xn, p)
+        if np.any(nn == 0.0):
+            iters[rows[nn == 0.0]] = it + 1
+            keep = nn != 0.0
+            rows, prev, xn, nn = rows[keep], prev[keep], xn[keep], nn[keep]
+        x = xn / nn[:, None]
+    iters[rows] = max_iter
+    converged[rows] = False
+    return best_val, best_x, iters, converged
 
 
 def _two_level_starts(n: int) -> list[np.ndarray]:
@@ -326,24 +371,12 @@ def power_method_pnorm(
     w = _weight_vector(op)
     if op.basis != "grid":
         raise ValueError("power_method_pnorm expects a grid-basis operator")
-    if w is not None:
-        mat = (op.matrix * w[:, None]) / w[None, :]
-        apply_fn = lambda x: mat @ x  # noqa: E731
-        adj_fn = lambda x: mat.conj().T @ x  # noqa: E731
-    else:
-        apply_fn, adj_fn = op.apply, op.apply_adjoint
-
+    apply_rows, adjoint_rows = _row_operator(op, w)
     start_list = _grid_starts(op, starts, seed)
-    total_iters = 0
-    all_converged = True
-    best_raw = None
-    for x0 in start_list:
-        val, x, iters, ok = _boyd_ascent(apply_fn, adj_fn, x0, p, tol, max_iter)
-        total_iters += iters
-        all_converged = all_converged and ok
-        if best_raw is None or val > best_raw[0]:
-            best_raw = (val, x)
-    witness = best_raw[1]
+    vals, xs, iters, ok = _dual_ascent(
+        apply_rows, adjoint_rows, np.array(start_list), p, tol, max_iter
+    )
+    witness = xs[int(np.argmax(vals))].copy()  # the first start with the largest value
     if w is not None:
         witness = witness / w
     return NormEstimate(
@@ -351,8 +384,8 @@ def power_method_pnorm(
         witness=witness,
         method="power",
         n_starts=len(start_list),
-        n_iters=total_iters,
-        converged=all_converged,
+        n_iters=int(iters.sum()),
+        converged=bool(ok.all()),
     )
 
 
@@ -418,54 +451,23 @@ def _subspace_ascent(op, c0, p, tol, max_iter):
     from every start (row of c0) at once.
 
     The dual update leaves the analytic span, so it is orthogonally
-    projected back (Riesz-type projection) before renormalizing.  Each row
-    keeps its own stop rule and best iterate, and leaves the batch when it
-    stops.  Returns per-row arrays: best value, best coefficients,
-    iterations and convergence; a zero start gives value 0 at itself.
+    projected back (Riesz-type projection) before renormalizing.  Returns
+    per-row arrays: best value, best coefficients, iterations and
+    convergence; a zero start gives value 0 at itself.
     """
     n, degree = op.grid.n_points, op.degree
-    pprime = holder_conjugate(p)
-    mat = np.asarray(op.matrix, dtype=complex)
-    a_t = mat.T  # c @ a_t is A c, row-wise
-    a_h_t = mat.conj()  # c @ a_h_t is A^H c, row-wise
-    c0 = np.asarray(c0, dtype=complex)
-    best_val = np.full(c0.shape[0], -1.0)
-    best_c = c0.copy()
-    iters = np.zeros(c0.shape[0], dtype=int)
-    converged = np.ones(c0.shape[0], dtype=bool)
-
-    x = analytic_synthesis(c0, n)
-    nx = _row_lp(x, p)
-    best_val[nx == 0.0] = 0.0
-    rows = np.flatnonzero(nx != 0.0)  # original row of each live row
-    x = x[rows] / nx[rows, None]
-    prev = np.full(rows.size, -1.0)
-    for it in range(max_iter):
-        if rows.size == 0:
-            break
-        c = analytic_analysis(x, degree)
-        y = analytic_synthesis(c @ a_t, n)
-        val = _row_lp(y, p)
-        up = val > best_val[rows]
-        best_val[rows[up]] = val[up]
-        best_c[rows[up]] = c[up]
-        stop = (val == 0.0) | ((prev >= 0.0) & (val - prev <= tol * val))
-        if stop.any():
-            iters[rows[stop]] = it + 1
-            keep = ~stop
-            rows, y, val = rows[keep], y[keep], val[keep]
-        prev = val
-        z = analytic_synthesis(analytic_analysis(_dualize(y, p), degree) @ a_h_t, n)
-        xn = analytic_synthesis(analytic_analysis(_dualize(z, pprime), degree), n)
-        nn = _row_lp(xn, p)
-        if np.any(nn == 0.0):
-            iters[rows[nn == 0.0]] = it + 1
-            keep = nn != 0.0
-            rows, prev, xn, nn = rows[keep], prev[keep], xn[keep], nn[keep]
-        x = xn / nn[:, None]
-    iters[rows] = max_iter
-    converged[rows] = False
-    return best_val, best_c, iters, converged
+    apply_c, adjoint_c = _row_operator(op)
+    vals, xs, iters, ok = _dual_ascent(
+        lambda x: analytic_synthesis(apply_c(analytic_analysis(x, degree)), n),
+        lambda y: analytic_synthesis(adjoint_c(analytic_analysis(y, degree)), n),
+        analytic_synthesis(np.asarray(c0, dtype=complex), n),
+        p,
+        tol,
+        max_iter,
+        project=lambda x: analytic_synthesis(analytic_analysis(x, degree), n),
+    )
+    # a copy: a view would keep the (S, N) spectrum alive in every witness
+    return vals, analytic_analysis(xs, degree).copy(), iters, ok
 
 
 def _subspace_exchange_ascent(op, e_mat, c0, p, max_iter=300, stall=30):

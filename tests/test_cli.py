@@ -48,6 +48,12 @@ class TestConstantsCommand:
         assert np.all(np.diff(cs[: i_min + 1]) <= 1e-12)
         assert np.all(np.diff(cs[i_min:]) >= -1e-12)
 
+    def test_range_has_no_float_drift(self, capsys):
+        assert cli._parse_range("1.1:4.0:0.1") == [round(1.1 + 0.1 * i, 1) for i in range(30)]
+        code, out, _ = run_cli(["constants", "--p", "1.1:1.5:0.1"], capsys)
+        assert code == 0
+        assert [r["p"] for r in parse_csv(out)[1]] == ["1.1", "1.2", "1.3", "1.4", "1.5"]
+
     def test_json_format(self, capsys):
         code, out, _ = run_cli(["constants", "--p", "2", "--format", "json"], capsys)
         payload = json.loads(out)
@@ -138,6 +144,24 @@ class TestOpnormCommand:
         assert code == 2
         assert out == ""
         assert "error:" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["opnorm", "--kernel", "fejer:1", "-N", "64", "--p", "1.5", "--starts", "-3"],
+            ["opnorm", "--kernel", "fejer:1", "--space", "hp", "-N", "64", "-d", "0", "--p", "1.5"],
+            ["opnorm", "--kernel", "fejer:1", "--space", "hp", "-N", "64", "-d", "-4", "--p", "1.5"],
+            ["sweep", "--problem", "problem1", "--p", "1.5", "-N", "64", "-d", "0"],
+            ["constants", "--p", "1.5", "--q", "0.5"],
+        ],
+    )
+    def test_bad_option_value_is_usage_error(self, capsys, argv):
+        t0 = time.perf_counter()
+        code, out, err = run_cli(argv, capsys)
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_no_convergence_exits_one(self, capsys, monkeypatch):
         from hardybench.errors import NoConvergenceError

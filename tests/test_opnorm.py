@@ -31,7 +31,15 @@ from hardybench.operators import (
     analytic_synthesis,
     synthesis_matrix,
 )
-from hardybench.opnorm import DEFAULT_SEED, _coeff_starts, _subspace_ascent, certified_ratio
+from hardybench.opnorm import (
+    DEFAULT_SEED,
+    _coeff_starts,
+    _grid_starts,
+    _dual_ascent,
+    _row_operator,
+    _subspace_ascent,
+    certified_ratio,
+)
 from hardybench.problems import (
     endpoint_norm_identity_minus,
     fejer_difference_operator,
@@ -175,6 +183,83 @@ class TestPowerMethod:
         base = power_method_pnorm(small_op(m), 1.7, starts=4).value
         scaled = power_method_pnorm(small_op(3.5 * m), 1.7, starts=4).value
         assert abs(scaled - 3.5 * base) < 1e-9 * scaled
+
+
+def _power_starts(n, grid):
+    op = fejer_difference_operator(n, grid)
+    return _row_operator(op), np.array(_grid_starts(op, 4, DEFAULT_SEED))
+
+
+def _weighted_circulant(grid, rng, p):
+    w = SampledFunction(grid, (0.5 + rng.random(grid.n_points)).astype(complex))
+    op = identity_minus(convolution_operator(KernelSpec.fejer(2), grid, domain=WeightedLp(p, w)))
+    d = w.values.real
+    return op, d, (op.matrix * d[:, None]) / d[None, :]
+
+
+class TestBatchedPowerAscent:
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_batch_matches_single_rows(self, grid64, p):
+        (fwd, adj), starts = _power_starts(1, grid64)
+        vals, xs, iters, ok = _dual_ascent(fwd, adj, starts, p, 1e-10, 10_000)
+        for i, x0 in enumerate(starts):
+            v1, x1, it1, ok1 = _dual_ascent(fwd, adj, x0[None, :], p, 1e-10, 10_000)
+            assert abs(v1[0] - vals[i]) <= 1e-12 * vals[i]
+            assert np.max(np.abs(x1[0] - xs[i])) <= 1e-12 * np.max(np.abs(xs[i]))
+            assert (it1[0], ok1[0]) == (iters[i], ok[i])
+
+    def test_zero_start_keeps_other_rows(self, grid64):
+        (fwd, adj), starts = _power_starts(0, grid64)
+        ref_vals, ref_xs, ref_iters, _ = _dual_ascent(fwd, adj, starts, 3.0, 1e-10, 10_000)
+        batch = np.insert(starts, 2, 0.0, axis=0)
+        vals, xs, iters, ok = _dual_ascent(fwd, adj, batch, 3.0, 1e-10, 10_000)
+        assert vals[2] == 0.0 and iters[2] == 0 and ok[2]
+        assert not np.any(xs[2])
+        others = np.arange(batch.shape[0]) != 2
+        assert np.allclose(vals[others], ref_vals, rtol=1e-12, atol=0.0)
+        assert np.array_equal(iters[others], ref_iters)
+        assert np.max(np.abs(xs[others] - ref_xs)) <= 1e-12 * np.max(np.abs(ref_xs))
+
+    def test_capped_row_reports_unconverged(self, grid64):
+        (fwd, adj), starts = _power_starts(1, grid64)
+        _, _, iters, ok = _dual_ascent(fwd, adj, starts, 1.5, 1e-10, 10_000)
+        assert ok.all()
+        cap = int(iters.max()) - 1
+        assert np.sum(iters <= cap) >= 2  # some rows finish under the cap
+        _, _, capped_iters, capped_ok = _dual_ascent(fwd, adj, starts, 1.5, 1e-10, cap)
+        assert np.array_equal(capped_ok, iters <= cap)
+        assert np.array_equal(capped_iters, np.minimum(iters, cap))
+
+    def test_weighted_fft_matches_dense_similarity(self, grid64, rng):
+        op, d, sim = _weighted_circulant(grid64, rng, 1.5)
+        fwd, adj = _row_operator(op, d)
+        x = rng.standard_normal((3, 64)) + 1j * rng.standard_normal((3, 64))
+        for got, ref in ((fwd(x), x @ sim.T), (adj(x), x @ sim.conj())):
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert np.max(np.abs(fwd(x[0]) - sim @ x[0])) <= 1e-12 * np.max(np.abs(sim @ x[0]))
+
+    def test_weighted_circulant_matches_dense_similarity(self, grid64, rng):
+        op, _, sim = _weighted_circulant(grid64, rng, 3.0)
+        est = power_method_pnorm(op, 3.0, starts=8)
+        plain = power_method_pnorm(small_op(sim), 3.0, starts=8)
+        assert abs(est.value - plain.value) < 5e-6 * plain.value
+        assert abs(certified_ratio(op, est.witness, 3.0) - est.value) <= 1e-12 * est.value
+
+    def test_weighted_circulant_exact_p2(self, grid64, rng):
+        op, _, sim = _weighted_circulant(grid64, rng, 2.0)
+        est = exact_norm_p2(op)
+        assert abs(est.value - np.linalg.svd(sim, compute_uv=False)[0]) < 1e-10
+
+    def test_weighted_clustered_top_spectrum_falls_back_to_svd(self, grid64):
+        # a nearly flat weight keeps the clustered top of 1 - P_r, which
+        # stalls the power iteration; the dense similarity is then formed
+        w = SampledFunction(grid64, (1.0 + 0.01 * np.cos(grid64.theta)).astype(complex))
+        op = identity_minus(
+            convolution_operator(KernelSpec.poisson(0.5), grid64, domain=WeightedLp(2.0, w))
+        )
+        d = w.values.real
+        top = np.linalg.svd((op.matrix * d[:, None]) / d[None, :], compute_uv=False)[0]
+        assert abs(exact_norm_p2(op).value - top) < 1e-12
 
 
 class TestSubspaceNorm:
