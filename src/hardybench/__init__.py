@@ -43,6 +43,7 @@ from .opnorm import (
     exact_norm_endpoint,
     exact_norm_p2,
     lower_bound_certificate,
+    operator_norm,
     power_method_pnorm,
     subspace_norm,
 )

@@ -28,13 +28,7 @@ from .errors import InternalInconsistencyError
 from .grid import make_grid, synthesize
 from .kernels import KernelSpec, kernel_l1_norm
 from .operators import analytic_restriction, backward_shift, convolution_operator, identity_minus, substitute_fm
-from .opnorm import (
-    DEFAULT_SEED,
-    exact_norm_endpoint,
-    exact_norm_p2,
-    power_method_pnorm,
-    subspace_norm,
-)
+from .opnorm import DEFAULT_SEED, operator_norm
 from .outer import WeightSpec, conjugate_function, isometry_check, outer_function
 from .problems import fejer_hp_estimate, fejer_lp_estimate
 from .spaces import (
@@ -147,18 +141,7 @@ def _estimate_identity_minus(kernel, space, p, n_grid, degree, starts, seed):
     op = identity_minus(convolution_operator(kernel, g))
     if space == "hp":
         op = analytic_restriction(op, degree)
-        if p == 2.0:
-            est = exact_norm_p2(op, seed=seed)
-        else:
-            est = subspace_norm(op, p, starts=starts, seed=seed)
-    else:
-        if p == 1.0 or p == INF:
-            est = exact_norm_endpoint(op, p)
-        elif p == 2.0:
-            est = exact_norm_p2(op, seed=seed)
-        else:
-            est = power_method_pnorm(op, p, starts=starts, seed=seed)
-    return est
+    return operator_norm(op, p, starts=starts, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -238,18 +221,9 @@ def cmd_sweep(cfg: RunConfig) -> tuple[list[dict], list[dict]]:
         g = make_grid(cfg.grid_size)
         for p in sorted(ps):
             for d in degrees:
-                op = backward_shift(d, g)
-                est = (
-                    exact_norm_p2(op, seed=cfg.seed)
-                    if p == 2.0
-                    else subspace_norm(op, p, starts=cfg.starts, seed=cfg.seed)
-                )
-                est2 = (
-                    exact_norm_p2(backward_shift(2 * d, g), seed=cfg.seed)
-                    if p == 2.0
-                    else subspace_norm(
-                        backward_shift(2 * d, g), p, starts=cfg.starts, seed=cfg.seed
-                    )
+                est = operator_norm(backward_shift(d, g), p, starts=cfg.starts, seed=cfg.seed)
+                est2 = operator_norm(
+                    backward_shift(2 * d, g), p, starts=cfg.starts, seed=cfg.seed
                 )
                 upper = 2.0
                 rows.append(
@@ -320,16 +294,13 @@ def _verify_convolution(cfg: RunConfig) -> list[dict]:
         l1 = kernel_l1_norm(kernel, g)
         op = convolution_operator(kernel, g)
         for p in (1.0, 2.0, INF):
-            if p == 2.0:
-                est = exact_norm_p2(op, seed=cfg.seed)
-            else:
-                est = exact_norm_endpoint(op, p)
+            est = operator_norm(op, p, seed=cfg.seed)
             checks.append(
                 _check(f"norm_equals_l1[{kernel.label()}#{i},p={p:g}]",
                        abs(est.value - l1) <= 1e-5, abs(est.value - l1), 1e-5)
             )
         for p in (1.5, 3.0):
-            est = power_method_pnorm(op, p, starts=4, seed=cfg.seed)
+            est = operator_norm(op, p, starts=4, seed=cfg.seed)
             checks.append(
                 _check(f"norm_equals_l1[{kernel.label()}#{i},p={p:g}]",
                        abs(est.value - l1) <= 1e-3, abs(est.value - l1), 1e-3)
@@ -544,6 +515,12 @@ def _check_usage(cfg: RunConfig) -> None:
     uses_degree = cfg.command == "sweep" or (cfg.command == "opnorm" and cfg.space == "hp")
     if uses_degree and cfg.degree < 1:
         raise ValueError(f"--degree must be >= 1 for analytic subspaces, got {cfg.degree}")
+    reads_p = cfg.command in ("opnorm", "sweep") or cfg.suite == "monotone"
+    if cfg.p and reads_p:
+        ps = _parse_range(cfg.p) if cfg.command == "sweep" else [_parse_p(cfg.p)]
+        for p in ps:
+            if p < 1.0:
+                raise ValueError(f"--p must lie in [1, inf], got {p!r}")
 
 
 _COMMANDS = {

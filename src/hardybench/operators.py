@@ -1,8 +1,10 @@
 """Finite-dimensional operators: convolutions, Riesz restriction, backward shift.
 
-Grid-basis operators are dense N x N matrices acting on point samples;
-convolutions are circulant and additionally carry their eigenvalues (the
-discrete multipliers), which enables an FFT fast path for apply().
+Grid-basis operators act on point samples.  A convolution is a circulant,
+diagonal in the Fourier basis: it is held by its first column and its
+multipliers (the DFT of that column), applied by FFT, and its dense N x N
+matrix is built only when `.matrix` is read.  Other grid operators are held
+by their dense matrix.
 
 Analytic-basis operators are (d+1) x (d+1) matrices acting on coefficients
 (c_0, ..., c_d) of analytic polynomials; norms on this basis are always
@@ -11,32 +13,58 @@ evaluated through synthesis, so the subspace carries the induced norm.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .errors import DegreeExceedsGridError, NotInvariantError
-from .grid import CircleGrid, FourierCoeffs, SampledFunction, analyze, synthesize
+from .grid import CircleGrid, FourierCoeffs, SampledFunction, analyze
 from .kernels import KernelSpec
 
-_CIRCULANT_TOL = 1e-10
 
-
-@dataclass(frozen=True, eq=False)
 class OperatorRep:
-    """Dense operator with an attached basis, grid, and optional fast path."""
+    """An operator with an attached basis and grid.
 
-    matrix: np.ndarray = field(repr=False)
-    basis: str  # "grid" | "analytic"
-    grid: CircleGrid
-    degree: int | None = None  # analytic basis only
-    domain: object | None = None  # SpaceSpec the operator norm refers to
-    multipliers: np.ndarray | None = field(default=None, repr=False)  # FFT order
-    circulant: bool = False
+    Either `matrix` (dense) or a circulant's first `column` together with
+    its `multipliers` is given; a circulant's matrix is built on first read
+    of `.matrix` and kept.
+    """
+
+    def __init__(
+        self,
+        matrix: np.ndarray | None = None,
+        *,
+        basis: str,  # "grid" | "analytic"
+        grid: CircleGrid,
+        degree: int | None = None,  # analytic basis only
+        domain: object | None = None,  # SpaceSpec the operator norm refers to
+        column: np.ndarray | None = None,
+        multipliers: np.ndarray | None = None,  # FFT order
+    ):
+        if (matrix is None) == (column is None) or (column is None) != (multipliers is None):
+            raise ValueError(
+                "an operator is a dense matrix, or a circulant's first column "
+                "with its multipliers"
+            )
+        self._matrix = matrix
+        self.basis = basis
+        self.grid = grid
+        self.degree = degree
+        self.domain = domain
+        self.column = column
+        self.multipliers = multipliers
+
+    @property
+    def matrix(self) -> np.ndarray:
+        if self._matrix is None:
+            self._matrix = _circulant_from_first_column(self.column)
+        return self._matrix
+
+    @property
+    def circulant(self) -> bool:
+        return self.multipliers is not None
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.column.size if self.circulant else self._matrix.shape[0]
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         if self.multipliers is not None:
@@ -47,16 +75,6 @@ class OperatorRep:
         if self.multipliers is not None:
             return np.fft.ifft(np.fft.fft(x) * np.conj(self.multipliers))
         return self.matrix.conj().T @ x
-
-
-def _verify_circulant(matrix: np.ndarray, rng: np.random.Generator) -> bool:
-    """One random rotation test: does A commute with the grid shift?"""
-    n = matrix.shape[0]
-    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    lhs = np.roll(matrix @ x, 1)
-    rhs = matrix @ np.roll(x, 1)
-    scale = max(np.max(np.abs(lhs)), 1.0)
-    return bool(np.max(np.abs(lhs - rhs)) <= _CIRCULANT_TOL * scale)
 
 
 def _circulant_from_first_column(col: np.ndarray) -> np.ndarray:
@@ -73,59 +91,60 @@ def _circulant_from_first_column(col: np.ndarray) -> np.ndarray:
 def convolution_operator(
     kernel: KernelSpec, grid: CircleGrid, domain: object | None = None
 ) -> OperatorRep:
-    """Circulant matrix A[j][l] = (1/N) K(theta_j - theta_l).
+    """Circulant A[j][l] = (1/N) K(theta_j - theta_l).
 
-    The eigenvalues (discrete multipliers) are the DFT of the first column,
-    so the FFT fast path agrees with the dense matrix to roundoff.
+    Held by its first column K/N and its eigenvalues (discrete multipliers),
+    the DFT of that column; no N x N array is formed.
     """
     samples = kernel.sample(grid).values
+    if not np.all(np.isfinite(samples)):
+        raise ValueError("kernel samples must be finite")
     col = samples / grid.n_points
-    matrix = _circulant_from_first_column(col)
-    multipliers = np.fft.fft(col)
-    op = OperatorRep(
-        matrix=matrix,
-        basis="grid",
-        grid=grid,
-        domain=domain,
-        multipliers=multipliers,
-        circulant=True,
+    return OperatorRep(
+        basis="grid", grid=grid, domain=domain, column=col, multipliers=np.fft.fft(col)
     )
-    if not _verify_circulant(matrix, np.random.default_rng(0)):
-        raise NotInvariantError("convolution matrix failed the rotation test")
-    return op
 
 
 def identity_operator(grid: CircleGrid, domain: object | None = None) -> OperatorRep:
     n = grid.n_points
+    column = np.zeros(n)
+    column[0] = 1.0
     return OperatorRep(
-        matrix=np.eye(n, dtype=float),
         basis="grid",
         grid=grid,
         domain=domain,
+        column=column,
         multipliers=np.ones(n, dtype=complex),
-        circulant=True,
     )
 
 
 def identity_minus(op: OperatorRep) -> OperatorRep:
     """I - A on the same basis."""
-    matrix = np.eye(op.dim, dtype=op.matrix.dtype) - op.matrix
-    multipliers = None if op.multipliers is None else 1.0 - op.multipliers
+    if not op.circulant:
+        return OperatorRep(
+            matrix=np.eye(op.dim, dtype=op.matrix.dtype) - op.matrix,
+            basis=op.basis,
+            grid=op.grid,
+            degree=op.degree,
+            domain=op.domain,
+        )
+    e0 = np.zeros_like(op.column)
+    e0[0] = 1.0
     return OperatorRep(
-        matrix=matrix,
         basis=op.basis,
         grid=op.grid,
         degree=op.degree,
         domain=op.domain,
-        multipliers=multipliers,
-        circulant=op.circulant,
+        column=e0 - op.column,
+        multipliers=1.0 - op.multipliers,
     )
 
 
 def analytic_restriction(op: OperatorRep, degree: int) -> OperatorRep:
     """Matrix of a grid operator on analytic coefficients (c_0, ..., c_d).
 
-    Requires the operator to map span{e^{ik theta} : 0 <= k <= degree} into
+    A circulant restricts to the diagonal of its multipliers at k = 0..d.
+    Any other operator must map span{e^{ik theta} : 0 <= k <= degree} into
     itself within 1e-10 (relative); otherwise NotInvariantError.
     """
     if op.basis != "grid":
@@ -135,22 +154,24 @@ def analytic_restriction(op: OperatorRep, degree: int) -> OperatorRep:
         raise DegreeExceedsGridError(
             f"degree {degree} does not fit on a grid of {g.n_points} points"
         )
-    full_degree = g.max_degree
-    ks = np.arange(degree + 1)
-    restricted = np.zeros((degree + 1, degree + 1), dtype=complex)
-    for k in ks:
-        basis_fn = np.exp(1j * k * g.theta)
-        image = op.apply(basis_fn)
-        coeffs = analyze(SampledFunction(g, image), full_degree)
-        inside = coeffs.coeffs[full_degree : full_degree + degree + 1]
-        scale = max(float(np.max(np.abs(image))), 1.0)
-        outside = np.sum(np.abs(coeffs.coeffs)) - np.sum(np.abs(inside))
-        if outside > 1e-10 * scale * (2 * full_degree + 1):
-            raise NotInvariantError(
-                f"operator leaks frequency content outside 0..{degree} "
-                f"(leakage {outside:.3e} at basis frequency {k})"
-            )
-        restricted[:, k] = inside
+    if op.circulant:
+        restricted = np.diag(op.multipliers[: degree + 1])
+    else:
+        full_degree = g.max_degree
+        restricted = np.zeros((degree + 1, degree + 1), dtype=complex)
+        for k in range(degree + 1):
+            basis_fn = np.exp(1j * k * g.theta)
+            image = op.apply(basis_fn)
+            coeffs = analyze(SampledFunction(g, image), full_degree)
+            inside = coeffs.coeffs[full_degree : full_degree + degree + 1]
+            scale = max(float(np.max(np.abs(image))), 1.0)
+            outside = np.sum(np.abs(coeffs.coeffs)) - np.sum(np.abs(inside))
+            if outside > 1e-10 * scale * (2 * full_degree + 1):
+                raise NotInvariantError(
+                    f"operator leaks frequency content outside 0..{degree} "
+                    f"(leakage {outside:.3e} at basis frequency {k})"
+                )
+            restricted[:, k] = inside
     return OperatorRep(
         matrix=restricted,
         basis="analytic",
@@ -229,18 +250,3 @@ def analytic_analysis(x: np.ndarray, degree: int) -> np.ndarray:
     analytic span, the rows of x @ synthesis_matrix(grid, d).conj() / N.
     """
     return np.fft.fft(x, norm="forward")[..., : degree + 1]
-
-
-def grid_image(op: OperatorRep, c: np.ndarray) -> np.ndarray:
-    """Samples of A applied to the analytic polynomial with coefficients c."""
-    if op.basis != "analytic":
-        raise ValueError("grid_image expects an analytic-basis operator")
-    out = FourierCoeffs(degree=op.degree, coeffs=_analytic_to_full(op.matrix @ c))
-    return synthesize(out, op.grid).values
-
-
-def _analytic_to_full(c_analytic: np.ndarray) -> np.ndarray:
-    d = c_analytic.size - 1
-    full = np.zeros(2 * d + 1, dtype=complex)
-    full[d:] = c_analytic
-    return full

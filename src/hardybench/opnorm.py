@@ -111,23 +111,25 @@ def exact_norm_endpoint(op: OperatorRep, p: float) -> NormEstimate:
     With quadrature weight 1/N on both sides the weights cancel:
         ||A||_{L^1}   = max_l sum_j |A[j][l]|   (max column sum),
         ||A||_{L^inf} = max_j sum_l |A[j][l]|   (max row sum).
+    Every column and every row of a circulant's |A| sums to the l^1 norm of
+    its first column, so column 0 and row 0 serve and no matrix is formed.
     """
     if op.basis != "grid" or _weight_vector(op) is not None:
         raise UnsupportedExactError(
             "exact endpoint norms need an unweighted grid-basis operator"
         )
-    a = np.abs(op.matrix)
+    n = op.dim
     if p == 1.0:
-        sums = a.sum(axis=0)
-        idx = int(np.argmax(sums))
-        witness = np.zeros(op.dim, dtype=complex)
+        idx = 0 if op.circulant else int(np.argmax(np.abs(op.matrix).sum(axis=0)))
+        witness = np.zeros(n, dtype=complex)
         witness[idx] = 1.0
         method = "exact_p1"
     elif p == INF:
-        sums = a.sum(axis=1)
-        idx = int(np.argmax(sums))
-        row = op.matrix[idx]
-        witness = np.ones(op.dim, dtype=complex)
+        if op.circulant:
+            row = op.column[-np.arange(n) % n]  # A[0][l] = column[-l mod N]
+        else:
+            row = op.matrix[int(np.argmax(np.abs(op.matrix).sum(axis=1)))]
+        witness = np.ones(n, dtype=complex)
         nz = np.abs(row) > 0.0
         witness[nz] = np.conj(row[nz]) / np.abs(row[nz])
         method = "exact_pinf"
@@ -572,6 +574,23 @@ def subspace_norm(
         n_iters=int(iters.sum()),
         converged=bool(ok.all()),
     )
+
+
+def operator_norm(
+    op: OperatorRep, p: float, starts: int = 8, seed: int = DEFAULT_SEED
+) -> NormEstimate:
+    """The norm of an operator on its own domain, by the solver that fits:
+    exact at p = 2, the subspace ascent on an analytic basis, the exact
+    column or row sums at p in {1, inf}, and the dual-vector power method
+    otherwise.
+    """
+    if p == 2.0:
+        return exact_norm_p2(op, seed=seed)
+    if op.basis == "analytic":
+        return subspace_norm(op, p, starts=starts, seed=seed)
+    if p == 1.0 or p == INF:
+        return exact_norm_endpoint(op, p)
+    return power_method_pnorm(op, p, starts=starts, seed=seed)
 
 
 # ---------------------------------------------------------------------------

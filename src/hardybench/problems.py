@@ -31,8 +31,7 @@ from .opnorm import (
     _subspace_ascent,
     _subspace_exchange_ascent,
     certified_ratio,
-    exact_norm_endpoint,
-    exact_norm_p2,
+    operator_norm,
     power_method_pnorm,
     subspace_norm,
 )
@@ -42,18 +41,6 @@ from .spaces import INF
 def fejer_difference_operator(n: int, grid: CircleGrid) -> OperatorRep:
     """The grid operator I - C_{K_n}."""
     return identity_minus(convolution_operator(KernelSpec.fejer(n), grid))
-
-
-def endpoint_norm_identity_minus(kernel: KernelSpec, grid: CircleGrid) -> float:
-    """Exact L^1 (= L^inf) norm of I - C_K from the kernel samples alone.
-
-    The column sums of I - (1/N) K(theta_j - theta_l) are all equal to
-    |1 - K(0)/N| + (1/N) sum_{j != 0} |K(theta_j)|, so no dense matrix is
-    needed.  Agrees with exact_norm_endpoint on the dense representation.
-    """
-    k = kernel.sample(grid).values.real
-    n_pts = grid.n_points
-    return float(abs(1.0 - k[0] / n_pts) + np.sum(np.abs(k[1:])) / n_pts)
 
 
 def fejer_lp_estimate(
@@ -71,12 +58,8 @@ def fejer_lp_estimate(
     the transferred certificate is returned.
     """
     op_n = fejer_difference_operator(n, grid)
-    if p == 1.0 or p == INF:
-        return exact_norm_endpoint(op_n, p)
-    if p == 2.0:
-        return exact_norm_p2(op_n, seed=seed)
-    est = power_method_pnorm(op_n, p, starts=starts, seed=seed)
-    if n >= 1:
+    est = operator_norm(op_n, p, starts=starts, seed=seed)
+    if n >= 1 and est.is_certified_lower_bound:  # an exact value needs no transfer
         op_0 = fejer_difference_operator(0, grid)
         base = power_method_pnorm(op_0, p, starts=starts, seed=seed)
         m = n + 1
@@ -135,12 +118,8 @@ def fejer_hp_estimate(
     replayed on the order-n operator, and polished by perturbed re-ascent.
     """
     op_n = analytic_restriction(fejer_difference_operator(n, grid), degree)
-    direct = (
-        exact_norm_p2(op_n, seed=seed)
-        if p == 2.0
-        else subspace_norm(op_n, p, starts=starts, seed=seed)
-    )
-    if n == 0 or p == 2.0:
+    direct = operator_norm(op_n, p, starts=starts, seed=seed)
+    if n == 0 or not direct.is_certified_lower_bound:  # exact at p = 2
         return direct
     m = n + 1
     base_degree = degree // m
@@ -175,7 +154,4 @@ def backward_shift_estimate(
 ) -> NormEstimate:
     """Certified estimate of the backward-shift norm on the degree-`degree`
     analytic subspace with the induced L^p norm."""
-    op = backward_shift(degree, grid)
-    if p == 2.0:
-        return exact_norm_p2(op, seed=seed)
-    return subspace_norm(op, p, starts=starts, seed=seed)
+    return operator_norm(backward_shift(degree, grid), p, starts=starts, seed=seed)

@@ -45,7 +45,7 @@ from hardybench.opnorm import DEFAULT_SEED
 from hardybench.operators import OperatorRep, convolution_operator
 from hardybench.problems import (
     backward_shift_estimate,
-    endpoint_norm_identity_minus,
+    fejer_difference_operator,
     fejer_hp_estimate,
     fejer_lp_estimate,
 )
@@ -126,7 +126,7 @@ def test_criterion_3_two_sided_estimate():
                 failures.append(f"endpoint n=0 below 2 - 3/N")
     # monotone approach of the endpoint value to 2 as N grows
     sweep = [
-        endpoint_norm_identity_minus(KernelSpec.fejer(1), make_grid(m))
+        exact_norm_endpoint(fejer_difference_operator(1, make_grid(m)), 1.0).value
         for m in (512, 2048, 8192)
     ]
     if not (sweep[0] < sweep[1] < sweep[2] < 2.0):

@@ -163,6 +163,24 @@ class TestOpnormCommand:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["opnorm", "--kernel", "fejer:1", "-N", "64", "--p", "0.5"],
+            ["sweep", "--problem", "problem1", "--p", "1.5,0.9", "-N", "64", "-d", "4"],
+            ["verify", "monotone", "--p", "0.5", "-N", "64", "-d", "4"],
+        ],
+    )
+    def test_exponent_below_one_rejected_before_any_grid(self, capsys, monkeypatch, argv):
+        def no_grid(n_points):
+            raise AssertionError("a grid was built for an invalid exponent")
+
+        monkeypatch.setattr(cli, "make_grid", no_grid)
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_no_convergence_exits_one(self, capsys, monkeypatch):
         from hardybench.errors import NoConvergenceError
 

@@ -14,11 +14,17 @@ from hardybench import (
     identity_operator,
     kernel_l1_norm,
     lp_norm,
+    make_grid,
     substitute_fm,
     synthesize,
 )
 from hardybench.errors import DegreeExceedsGridError, NotInvariantError
-from hardybench.operators import OperatorRep, grid_image, synthesis_matrix
+from hardybench.operators import (
+    OperatorRep,
+    _circulant_from_first_column,
+    analytic_synthesis,
+    synthesis_matrix,
+)
 from hardybench.testfunctions import random_analytic_polynomial, random_trig_polynomial
 
 
@@ -57,6 +63,26 @@ class TestConvolutionOperator:
         op = convolution_operator(KernelSpec.fejer(2), grid64)
         assert op.circulant
 
+    @pytest.mark.parametrize(
+        "spec",
+        [KernelSpec.fejer(0), KernelSpec.fejer(1), KernelSpec.fejer(4), KernelSpec.poisson(0.6)],
+    )
+    @pytest.mark.parametrize("n_pts", [64, 256])
+    def test_lazy_matrix_equals_dense_construction(self, spec, n_pts):
+        g = make_grid(n_pts)
+        dense = _circulant_from_first_column(spec.sample(g).values / n_pts)
+        op = convolution_operator(spec, g)
+        assert np.array_equal(op.matrix, dense)
+        assert np.array_equal(identity_minus(op).matrix, np.eye(n_pts) - dense)
+        assert np.array_equal(identity_operator(g).matrix, np.eye(n_pts))
+
+    def test_non_finite_kernel_sample_rejected(self, grid64):
+        values = np.ones(64, dtype=complex)
+        values[5] = np.nan
+        spec = KernelSpec.custom(SampledFunction(grid64, values), nonneg=False, hat_nonneg=False)
+        with pytest.raises(ValueError, match="finite"):
+            convolution_operator(spec, grid64)
+
 
 class TestIdentityMinus:
     def test_on_identity(self, grid64, rng):
@@ -65,10 +91,7 @@ class TestIdentityMinus:
         assert np.max(np.abs(op.apply(f))) < 1e-14
 
     def test_on_zero(self, grid64, rng):
-        zero = OperatorRep(
-            matrix=np.zeros((64, 64)), basis="grid", grid=grid64,
-            multipliers=np.zeros(64, dtype=complex), circulant=True,
-        )
+        zero = identity_minus(identity_operator(grid64))
         op = identity_minus(zero)
         f = rng.standard_normal(64)
         assert np.max(np.abs(op.apply(f) - f)) < 1e-14
@@ -105,6 +128,13 @@ class TestAnalyticRestriction:
         r = analytic_restriction(convolution_operator(KernelSpec.poisson(0.5), grid256), 6)
         assert np.max(np.abs(np.diag(r.matrix) - 0.5 ** np.arange(7))) < 1e-12
 
+    @pytest.mark.parametrize("spec", [KernelSpec.fejer(3), KernelSpec.poisson(0.5)])
+    def test_circulant_matches_dense(self, grid256, spec):
+        op = identity_minus(convolution_operator(spec, grid256))
+        dense = OperatorRep(matrix=op.matrix, basis="grid", grid=grid256)
+        diff = analytic_restriction(op, 16).matrix - analytic_restriction(dense, 16).matrix
+        assert np.max(np.abs(diff)) < 1e-12
+
     def test_non_invariant_rejected(self, grid64):
         # multiplication by e^{i theta} shifts frequencies out of the span
         shift = np.diag(np.exp(1j * grid64.theta))
@@ -137,7 +167,7 @@ class TestBackwardShift:
         b = backward_shift(d, grid256)
         c = random_analytic_polynomial(rng, d)
         analytic = c.coeffs[d:]
-        shifted = grid_image(b, analytic)
+        shifted = analytic_synthesis(b.matrix @ analytic, 256)
         f = synthesize(c, grid256).values
         assert np.max(np.abs(np.abs(shifted) - np.abs(f - np.mean(f)))) < 1e-11
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from hardybench import (
     identity_operator,
     lower_bound_certificate,
     make_grid,
+    operator_norm,
     power_method_pnorm,
     subspace_norm,
 )
@@ -41,9 +44,9 @@ from hardybench.opnorm import (
     certified_ratio,
 )
 from hardybench.problems import (
-    endpoint_norm_identity_minus,
     fejer_difference_operator,
     fejer_hp_estimate,
+    fejer_lp_estimate,
 )
 
 
@@ -80,16 +83,17 @@ class TestExactEndpoints:
         values = []
         for n_pts in (512, 2048, 8192):
             g = make_grid(n_pts)
-            values.append(endpoint_norm_identity_minus(KernelSpec.fejer(1), g))
+            values.append(exact_norm_endpoint(fejer_difference_operator(1, g), 1.0).value)
         assert values[0] < values[1] < values[2] < 2.0
         assert values[2] > 2.0 - 6.0 / 8192
 
     def test_closed_form_matches_dense(self, grid256):
         for spec in (KernelSpec.fejer(3), KernelSpec.poisson(0.5)):
             op = identity_minus(convolution_operator(spec, grid256))
-            dense = exact_norm_endpoint(op, 1.0).value
-            fast = endpoint_norm_identity_minus(spec, grid256)
-            assert abs(dense - fast) < 1e-12
+            dense = OperatorRep(matrix=op.matrix, basis="grid", grid=grid256)
+            for p in (1.0, INF):
+                fast = exact_norm_endpoint(op, p).value
+                assert abs(fast - exact_norm_endpoint(dense, p).value) < 1e-12
 
     def test_weighted_domain_unsupported(self, grid64):
         w = SampledFunction(grid64, np.full(64, 2.0, dtype=complex))
@@ -183,6 +187,55 @@ class TestPowerMethod:
         base = power_method_pnorm(small_op(m), 1.7, starts=4).value
         scaled = power_method_pnorm(small_op(3.5 * m), 1.7, starts=4).value
         assert abs(scaled - 3.5 * base) < 1e-9 * scaled
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMatrixFreeCirculants:
+    # a dense 8192 x 8192 complex matrix takes 1 GiB
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, INF])
+    def test_fejer_lp_estimate_forms_no_dense_matrix(self, p):
+        peak = _traced_peak(lambda: fejer_lp_estimate(1, p, make_grid(8192)))
+        assert peak < 16 * 2**20
+
+    def test_analytic_restriction_forms_no_dense_matrix(self):
+        peak = _traced_peak(
+            lambda: analytic_restriction(fejer_difference_operator(1, make_grid(8192)), 32)
+        )
+        assert peak < 16 * 2**20
+
+
+_DISPATCH = [
+    ("grid", 1.0, "exact_p1", lambda op: exact_norm_endpoint(op, 1.0)),
+    ("grid", 1.5, "power", lambda op: power_method_pnorm(op, 1.5, starts=2, seed=3)),
+    ("grid", 2.0, "exact_p2", lambda op: exact_norm_p2(op, seed=3)),
+    ("grid", INF, "exact_pinf", lambda op: exact_norm_endpoint(op, INF)),
+    ("analytic", 1.0, "power", lambda op: subspace_norm(op, 1.0, starts=2, seed=3)),
+    ("analytic", 1.5, "power", lambda op: subspace_norm(op, 1.5, starts=2, seed=3)),
+    ("analytic", 2.0, "exact_p2", lambda op: exact_norm_p2(op, seed=3)),
+    ("analytic", INF, "power", lambda op: subspace_norm(op, INF, starts=2, seed=3)),
+]
+
+
+class TestOperatorNorm:
+    @pytest.mark.parametrize("basis,p,method,solver", _DISPATCH)
+    def test_chooses_the_solver(self, grid64, basis, p, method, solver):
+        op = fejer_difference_operator(1, grid64)
+        if basis == "analytic":
+            op = analytic_restriction(op, 8)
+        est = operator_norm(op, p, starts=2, seed=3)
+        direct = solver(op)
+        assert est.method == method
+        assert est.value == direct.value
+        assert np.array_equal(est.witness, direct.witness)
 
 
 def _power_starts(n, grid):
