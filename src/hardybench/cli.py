@@ -27,10 +27,10 @@ from .constants import franchetti_cp, gamma_pq, interpolation_upper, lambda_pq
 from .errors import InternalInconsistencyError
 from .grid import make_grid, synthesize
 from .kernels import KernelSpec, kernel_l1_norm
-from .operators import analytic_restriction, backward_shift, convolution_operator, identity_minus, substitute_fm
+from .operators import analytic_restriction, convolution_operator, identity_minus, substitute_fm
 from .opnorm import DEFAULT_SEED, operator_norm
 from .outer import WeightSpec, conjugate_function, isometry_check, outer_function
-from .problems import fejer_hp_estimate, fejer_lp_estimate
+from .problems import backward_shift_estimate, fejer_hp_estimate, fejer_lp_estimate
 from .spaces import (
     INF,
     Lp,
@@ -216,55 +216,40 @@ def cmd_opnorm(cfg: RunConfig) -> tuple[list[dict], list[dict]]:
 def cmd_sweep(cfg: RunConfig) -> tuple[list[dict], list[dict]]:
     ps = _parse_range(cfg.p) if cfg.p else [1.5, 2.0, 3.0]
     degrees = [cfg.degree // 2, cfg.degree] if cfg.degree >= 4 else [cfg.degree]
-    rows = []
+    g = make_grid(cfg.grid_size)
     if cfg.problem == "problem2":
-        g = make_grid(cfg.grid_size)
-        for p in sorted(ps):
+        orders = [None]
+    else:
+        orders = sorted(_parse_list(cfg.q, int) if cfg.q else [0, 1, 2])
+
+    def estimate(n, p, d):
+        if n is None:
+            return backward_shift_estimate(d, p, g, starts=cfg.starts, seed=cfg.seed)
+        return fejer_hp_estimate(n, p, d, g, starts=cfg.starts, seed=cfg.seed)
+
+    rows = []
+    for p in sorted(ps):
+        upper = 2.0 if cfg.problem == "problem2" else interpolation_upper(p)
+        for n in orders:
+            # each row needs degrees d and 2d; solve each distinct degree once
+            values = {
+                d: estimate(n, p, d).value
+                for d in sorted(set(degrees) | {2 * d for d in degrees})
+            }
             for d in degrees:
-                est = operator_norm(backward_shift(d, g), p, starts=cfg.starts, seed=cfg.seed)
-                est2 = operator_norm(
-                    backward_shift(2 * d, g), p, starts=cfg.starts, seed=cfg.seed
-                )
-                upper = 2.0
                 rows.append(
                     {
-                        "problem": "problem2",
+                        "problem": cfg.problem,
                         "p": p,
-                        "n": None,
+                        "n": n,
                         "degree": d,
                         "grid_size": cfg.grid_size,
-                        "estimate": est.value,
+                        "estimate": values[d],
                         "upper_analytic": upper,
-                        "bracket_width": upper - est.value,
-                        "estimate_2d": est2.value,
+                        "bracket_width": upper - values[d],
+                        "estimate_2d": values[2 * d],
                     }
                 )
-    else:
-        orders = _parse_list(cfg.q, int) if cfg.q else [0, 1, 2]
-        for p in sorted(ps):
-            for n in sorted(orders):
-                for d in degrees:
-                    kernel = KernelSpec.fejer(n)
-                    est = _estimate_identity_minus(
-                        kernel, "hp", p, cfg.grid_size, d, cfg.starts, cfg.seed
-                    )
-                    est2 = _estimate_identity_minus(
-                        kernel, "hp", p, cfg.grid_size, 2 * d, cfg.starts, cfg.seed
-                    )
-                    upper = interpolation_upper(p)
-                    rows.append(
-                        {
-                            "problem": "problem1",
-                            "p": p,
-                            "n": n,
-                            "degree": d,
-                            "grid_size": cfg.grid_size,
-                            "estimate": est.value,
-                            "upper_analytic": upper,
-                            "bracket_width": upper - est.value,
-                            "estimate_2d": est2.value,
-                        }
-                    )
     rows.sort(key=lambda r: (r["p"], r["n"] if r["n"] is not None else -1, r["degree"]))
     for row in rows:
         if not (row["estimate"] <= row["upper_analytic"] + 1e-6):

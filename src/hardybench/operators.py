@@ -4,7 +4,9 @@ Grid-basis operators act on point samples.  A convolution is a circulant,
 diagonal in the Fourier basis: it is held by its first column and its
 multipliers (the DFT of that column), applied by FFT, and its dense N x N
 matrix is built only when `.matrix` is read.  Other grid operators are held
-by their dense matrix.
+by their dense matrix, stored complex.  `apply` and `apply_adjoint` are the
+one way an operator is applied, to a vector or to each row of an (S, N)
+array.
 
 Analytic-basis operators are (d+1) x (d+1) matrices acting on coefficients
 (c_0, ..., c_d) of analytic polynomials; norms on this basis are always
@@ -23,9 +25,9 @@ from .kernels import KernelSpec
 class OperatorRep:
     """An operator with an attached basis and grid.
 
-    Either `matrix` (dense) or a circulant's first `column` together with
-    its `multipliers` is given; a circulant's matrix is built on first read
-    of `.matrix` and kept.
+    Either `matrix` (dense, stored complex) or a circulant's first `column`
+    together with its `multipliers` is given; a circulant's matrix is built
+    on first read of `.matrix` and kept.
     """
 
     def __init__(
@@ -44,7 +46,8 @@ class OperatorRep:
                 "an operator is a dense matrix, or a circulant's first column "
                 "with its multipliers"
             )
-        self._matrix = matrix
+        self._matrix = None if matrix is None else np.asarray(matrix, dtype=complex)
+        self._adjoint = None  # conj of the multipliers or of the matrix, on first use
         self.basis = basis
         self.grid = grid
         self.degree = degree
@@ -67,14 +70,18 @@ class OperatorRep:
         return self.column.size if self.circulant else self._matrix.shape[0]
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        if self.multipliers is not None:
-            return np.fft.ifft(np.fft.fft(x) * self.multipliers)
-        return self.matrix @ x
+        """A x for a vector x, or for each row x of an (S, N) array."""
+        if self.circulant:
+            return np.fft.ifft(np.fft.fft(x, axis=-1) * self.multipliers, axis=-1)
+        return x @ self._matrix.T
 
     def apply_adjoint(self, x: np.ndarray) -> np.ndarray:
-        if self.multipliers is not None:
-            return np.fft.ifft(np.fft.fft(x) * np.conj(self.multipliers))
-        return self.matrix.conj().T @ x
+        """A^H x for a vector x, or for each row x of an (S, N) array."""
+        if self._adjoint is None:
+            self._adjoint = np.conj(self.multipliers if self.circulant else self._matrix)
+        if self.circulant:
+            return np.fft.ifft(np.fft.fft(x, axis=-1) * self._adjoint, axis=-1)
+        return x @ self._adjoint  # x @ conj(M) is the row form of A^H x
 
 
 def _circulant_from_first_column(col: np.ndarray) -> np.ndarray:
@@ -122,7 +129,7 @@ def identity_minus(op: OperatorRep) -> OperatorRep:
     """I - A on the same basis."""
     if not op.circulant:
         return OperatorRep(
-            matrix=np.eye(op.dim, dtype=op.matrix.dtype) - op.matrix,
+            matrix=np.eye(op.dim) - op.matrix,
             basis=op.basis,
             grid=op.grid,
             degree=op.degree,
@@ -193,7 +200,7 @@ def backward_shift(degree: int, grid: CircleGrid | None = None) -> OperatorRep:
         from .grid import DEFAULT_GRID_SIZE, make_grid
 
         grid = make_grid(DEFAULT_GRID_SIZE)
-    matrix = np.zeros((degree + 1, degree + 1), dtype=float)
+    matrix = np.zeros((degree + 1, degree + 1), dtype=complex)
     matrix[np.arange(degree), np.arange(1, degree + 1)] = 1.0
     return OperatorRep(matrix=matrix, basis="analytic", grid=grid, degree=degree)
 

@@ -6,11 +6,16 @@ Every iterative method returns a certified lower bound: the reported value
 is always re-evaluated as ||A w|| / ||w|| at the returned witness w, so it
 can never exceed the true operator norm.  Exact formulas exist only for
 p in {1, 2, inf} on unweighted grids.
+
+One loop, `_dual_ascent`, runs every power iteration.  For 1 < p < inf it
+is the dual-vector iteration for the l^p norm; at p = 2 that is power
+iteration on A^H A, which serves the L^2 norm and the singular-vector
+starts.  Operators are applied only through `OperatorRep.apply` and
+`apply_adjoint`; a weighted domain conjugates them by the weight.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +32,7 @@ from .spaces import INF, WeightedLp, holder_conjugate
 DEFAULT_SEED = 0x4841524459  # ascii bytes of "HARDY"; reproducible tables
 
 _MAX_ITER = 10_000
+_TINY = np.finfo(float).tiny  # the smallest normal double
 
 
 @dataclass
@@ -60,9 +66,18 @@ def _vec_lp(v: np.ndarray, p: float) -> float:
 
 
 def _dualize(y: np.ndarray, p: float) -> np.ndarray:
-    """Complex duality map sign(y)|y|^{p-1}, elementwise, with 0 -> 0."""
+    """Complex duality map sign(y)|y|^{p-1}, elementwise, with 0 -> 0.
+
+    The sign of a subnormal entry is taken after an exact power-of-two
+    scaling, since complex division by a subnormal modulus overflows.
+    """
     a = np.abs(y)
-    out = np.divide(y, a, out=np.zeros_like(y, dtype=complex), where=a > 0.0)
+    normal = a >= _TINY
+    out = np.divide(y, a, out=np.zeros_like(y, dtype=complex), where=normal)
+    tiny = (a > 0.0) & ~normal
+    if tiny.any():
+        scaled = y[tiny] * 2.0**600
+        out[tiny] = scaled / np.abs(scaled)
     out *= a ** (p - 1.0)
     return out
 
@@ -77,7 +92,7 @@ def certified_ratio(op: OperatorRep, witness: np.ndarray, p: float) -> float:
     """||A w||_p / ||w||_p in the operator's own domain; always a lower bound."""
     w = _weight_vector(op)
     if op.basis == "analytic":
-        num = analytic_synthesis(op.matrix @ witness, op.grid.n_points)
+        num = analytic_synthesis(op.apply(witness), op.grid.n_points)
         den = analytic_synthesis(witness, op.grid.n_points)
     else:
         num = op.apply(witness)
@@ -144,71 +159,15 @@ def exact_norm_endpoint(op: OperatorRep, p: float) -> NormEstimate:
 def _row_operator(op: OperatorRep, w: np.ndarray | None = None):
     """Row-wise A and A^H of an operator: functions taking each row x of an
     array (or a single vector) to A x and A^H x.  With a weight w they
-    apply the similarity D_w A D_w^{-1} and its adjoint instead.  Circulants
-    go through the FFT and build no N x N array; other operators are cast
-    (and weighted) once, so nothing is copied per call.
+    apply the similarity D_w A D_w^{-1} and its adjoint instead, as
+    w * A(x / w) and A^H(x * w) / w, so no weighted matrix is formed.
     """
-    m = op.multipliers
-    if m is not None:
-        m_h = np.conj(m)
-        if w is None:
-            return (
-                lambda x: np.fft.ifft(np.fft.fft(x, axis=-1) * m, axis=-1),
-                lambda x: np.fft.ifft(np.fft.fft(x, axis=-1) * m_h, axis=-1),
-            )
-        return (
-            lambda x: w * np.fft.ifft(np.fft.fft(x / w, axis=-1) * m, axis=-1),
-            lambda x: np.fft.ifft(np.fft.fft(x * w, axis=-1) * m_h, axis=-1) / w,
-        )
-    mat = np.asarray(op.matrix, dtype=complex)
-    if w is not None:
-        mat = (mat * w[:, None]) / w[None, :]
-    a_t, a_h_t = mat.T, mat.conj()  # x @ a_t is A x, x @ a_h_t is A^H x
-    return (lambda x: x @ a_t), (lambda x: x @ a_h_t)
-
-
-def _top_singular_pair(matrix_apply, matrix_apply_adj, dim, tol, max_iter, rng_starts):
-    """Largest singular value/vector by power iteration on the normal operator.
-
-    Returns (value, vector, iterations, stalled); stalled means some start
-    hit max_iter with the increment test unsatisfied, which happens when the
-    top of the spectrum is clustered.
-    """
-    best_val, best_vec, iters = 0.0, None, 0
-    stalled = False
-    starts = [np.ones(dim, dtype=complex)] + [
-        rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        for rng in rng_starts
-    ]
-    for x in starts:
-        x = x / _vec_lp(x, 2.0)
-        prev = -1.0
-        converged = False
-        for _ in range(max_iter):
-            iters += 1
-            y = matrix_apply(x)
-            val = _vec_lp(y, 2.0)
-            if val == 0.0:
-                converged = True
-                break
-            x = matrix_apply_adj(y)
-            nx = _vec_lp(x, 2.0)
-            if nx == 0.0:
-                converged = True
-                break
-            x = x / nx
-            if abs(val - prev) <= tol * max(val, 1e-300):
-                converged = True
-                break
-            prev = val
-        stalled = stalled or not converged
-        y = matrix_apply(x)
-        val = _vec_lp(y, 2.0)
-        if val > best_val:
-            best_val, best_vec = val, x
-    if best_vec is None:
-        best_vec = np.ones(dim, dtype=complex) / math.sqrt(dim)
-    return best_val, best_vec, iters, stalled
+    if w is None:
+        return op.apply, op.apply_adjoint
+    return (
+        lambda x: w * op.apply(x / w),
+        lambda x: op.apply_adjoint(x * w) / w,
+    )
 
 
 def exact_norm_p2(op: OperatorRep, tol: float = 1e-12, seed: int = DEFAULT_SEED) -> NormEstimate:
@@ -216,11 +175,14 @@ def exact_norm_p2(op: OperatorRep, tol: float = 1e-12, seed: int = DEFAULT_SEED)
 
     Circulant operators are diagonal in the Fourier basis, so their 2-norm
     is max |eigenvalue| with a pure exponential as the exact witness.
-    Otherwise: power iteration on the normal operator (all-ones start plus
-    4 random restarts); a clustered spectral top makes the increment test
-    stall, in which case a dense SVD finishes the job exactly.
+    Otherwise: the dual-vector iteration at p = 2, which is power iteration
+    on the normal operator A^H A, run as one batch from the all-ones start
+    and 4 random starts.  A clustered spectral top keeps some start from
+    meeting the increment test within the iteration cap; a dense SVD then
+    finishes the job exactly.
     """
-    if op.multipliers is not None and _weight_vector(op) is None:
+    w = _weight_vector(op) if op.basis == "grid" else None
+    if op.circulant and w is None:
         idx = int(np.argmax(np.abs(op.multipliers)))
         witness = np.exp(2j * np.pi * idx * np.arange(op.dim) / op.dim)
         return NormEstimate(
@@ -229,42 +191,42 @@ def exact_norm_p2(op: OperatorRep, tol: float = 1e-12, seed: int = DEFAULT_SEED)
             method="exact_p2",
             is_certified_lower_bound=False,
         )
-    w = _weight_vector(op)
-    weighted = op.basis == "grid" and w is not None
-    if weighted:
-        apply_fn, adj_fn = _row_operator(op, w)
-    else:
-        apply_fn, adj_fn = op.apply, op.apply_adjoint
-    rngs = [np.random.default_rng([seed, 2, i]) for i in range(4)]
-    value, vec, iters, stalled = _top_singular_pair(
-        apply_fn, adj_fn, op.dim, tol, _MAX_ITER, rngs
+    n = op.dim
+    starts = [np.ones(n, dtype=complex)]
+    for i in range(4):
+        rng = np.random.default_rng([seed, 2, i])
+        starts.append(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    apply_rows, adjoint_rows = _row_operator(op, w)
+    vals, xs, iters, ok = _dual_ascent(
+        apply_rows, adjoint_rows, np.array(starts), 2.0, tol, _MAX_ITER
     )
-    if stalled:
-        mat = (op.matrix * w[:, None]) / w[None, :] if weighted else op.matrix
-        _, _, vh = np.linalg.svd(mat)
-        vec = vh[0].conj()
-    if weighted:
+    if ok.all():
+        vec = xs[int(np.argmax(vals))]
+    else:
+        mat = op.matrix if w is None else (op.matrix * w[:, None]) / w[None, :]
+        vec = np.linalg.svd(mat)[2][0].conj()
+    if w is not None:
         vec = vec / w
-    value = certified_ratio(op, vec, 2.0)
     return NormEstimate(
-        value=value,
+        value=certified_ratio(op, vec, 2.0),
         witness=vec,
         method="exact_p2",
-        n_starts=5,
-        n_iters=iters,
+        n_starts=len(starts),
+        n_iters=int(iters.sum()),
         is_certified_lower_bound=False,
     )
 
 
 # ---------------------------------------------------------------------------
-# dual-vector power iteration for 1 < p < inf on the grid basis
+# dual-vector power iteration for 1 < p < inf
 # ---------------------------------------------------------------------------
 
 
 def _dual_ascent(apply_rows, adjoint_rows, x0, p, tol, max_iter, project=None):
     """Dual-vector iteration for 1 < p < inf, run from every start (row of
     x0) at once; `project`, if given, maps each dual update back onto the
-    subspace the iteration is confined to.
+    subspace the iteration is confined to.  At p = 2 it is power iteration
+    on A^H A.
 
     Each row keeps its own stop rule and best iterate, and leaves the batch
     when it stops.  Returns per-row arrays: best value, best iterate,
@@ -310,6 +272,15 @@ def _dual_ascent(apply_rows, adjoint_rows, x0, p, tol, max_iter, project=None):
     return best_val, best_x, iters, converged
 
 
+def _top_singular_vector(op: OperatorRep, seed_key: list[int]) -> np.ndarray:
+    """A start near the top right singular vector: the best iterate of one
+    p = 2 power iteration (on A^H A) from a random complex draw."""
+    rng = np.random.default_rng(seed_key)
+    x0 = rng.standard_normal(op.dim) + 1j * rng.standard_normal(op.dim)
+    _, xs, _, _ = _dual_ascent(op.apply, op.apply_adjoint, x0[None, :], 2.0, 1e-8, 2000)
+    return xs[0]
+
+
 def _two_level_starts(n: int) -> list[np.ndarray]:
     """Mean-zero two-level arc functions; natural test vectors for averaging
     kernels (their extremal vectors are two-level).  Widths sweep a 2^{1/4}
@@ -336,11 +307,7 @@ def _grid_starts(op: OperatorRep, n_random: int, seed: int) -> list[np.ndarray]:
         spike = np.zeros(n, dtype=complex)
         spike[int(np.argmax(col_score))] = 1.0
         starts.append(spike)
-    _, svec, _, _ = _top_singular_pair(
-        op.apply, op.apply_adjoint, n, 1e-8, 2000,
-        [np.random.default_rng([seed, 3])],
-    )
-    starts.append(svec)
+    starts.append(_top_singular_vector(op, [seed, 3]))
     starts.extend(_two_level_starts(n))
     for i in range(n_random):
         rng = np.random.default_rng([seed, 4, i])
@@ -430,16 +397,7 @@ def _coeff_starts(op: OperatorRep, n_random: int, seed: int) -> list[np.ndarray]
         spike = np.zeros(d + 1, dtype=complex)
         spike[k] = 1.0
         starts.append(spike)
-    adj = op.matrix.conj().T
-    _, svec, _, _ = _top_singular_pair(
-        lambda c: op.matrix @ c,
-        lambda c: adj @ c,
-        d + 1,
-        1e-8,
-        2000,
-        [np.random.default_rng([seed, 5])],
-    )
-    starts.append(svec)
+    starts.append(_top_singular_vector(op, [seed, 5]))
     if d >= 1:
         starts.extend(_automorphism_starts(d))
     for i in range(n_random):
@@ -458,10 +416,9 @@ def _subspace_ascent(op, c0, p, tol, max_iter):
     convergence; a zero start gives value 0 at itself.
     """
     n, degree = op.grid.n_points, op.degree
-    apply_c, adjoint_c = _row_operator(op)
     vals, xs, iters, ok = _dual_ascent(
-        lambda x: analytic_synthesis(apply_c(analytic_analysis(x, degree)), n),
-        lambda y: analytic_synthesis(adjoint_c(analytic_analysis(y, degree)), n),
+        lambda x: analytic_synthesis(op.apply(analytic_analysis(x, degree)), n),
+        lambda y: analytic_synthesis(op.apply_adjoint(analytic_analysis(y, degree)), n),
         analytic_synthesis(np.asarray(c0, dtype=complex), n),
         p,
         tol,
@@ -483,9 +440,7 @@ def _subspace_exchange_ascent(op, e_mat, c0, p, max_iter=300, stall=30):
     """
     n = e_mat.shape[0]
     w = 1.0 / n
-    mat = op.matrix
     e_adj = e_mat.conj().T
-    mat_adj = mat.conj().T
 
     def project(x):
         return w * (e_adj @ x)
@@ -494,22 +449,22 @@ def _subspace_exchange_ascent(op, e_mat, c0, p, max_iter=300, stall=30):
         den = _vec_lp(e_mat @ c, p)
         if den == 0.0:
             return 0.0
-        return _vec_lp(e_mat @ (mat @ c), p) / den
+        return _vec_lp(e_mat @ op.apply(c), p) / den
 
     c = c0 / max(_vec_lp(e_mat @ c0, p), 1e-300)
     best_val, best_c = ratio(c0), c0
     since_improve = 0
     for _ in range(max_iter):
-        y = e_mat @ (mat @ c)
+        y = e_mat @ op.apply(c)
         if p == INF:
             j = int(np.argmax(np.abs(y)))
             sigma = y[j] / max(abs(y[j]), 1e-300)
-            row = ((e_mat[j] @ mat) @ e_adj) * w
+            row = ((e_mat[j] @ op.matrix) @ e_adj) * w
             cand = np.where(
                 np.abs(row) > 0.0, sigma * np.conj(row) / np.abs(row), sigma
             )
         else:  # p == 1
-            z = e_mat @ (mat_adj @ project(np.where(y != 0, y / np.abs(y), 0)))
+            z = e_mat @ op.apply_adjoint(project(_dualize(y, 1.0)))
             cand = np.zeros(n, dtype=complex)
             l = int(np.argmax(np.abs(z)))
             cand[l] = z[l] / max(abs(z[l]), 1e-300)

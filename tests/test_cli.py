@@ -225,6 +225,26 @@ class TestSweepCommand:
             assert abs(upper - est - float(row["bracket_width"])) < 1e-12
             assert float(row["estimate_2d"]) >= est - 1e-8  # nested subspaces
 
+    @pytest.mark.parametrize(
+        "argv,solver,calls",
+        [
+            (["--problem", "problem1", "--p", "1.5", "--q", "0,1"], "fejer_hp_estimate", 6),
+            (["--problem", "problem2", "--p", "1.5"], "backward_shift_estimate", 3),
+        ],
+    )
+    def test_each_degree_solved_once(self, capsys, monkeypatch, argv, solver, calls):
+        # a row at degree d needs d and 2d: degrees {d/2, d, 2d} per (p, n)
+        original, seen = getattr(cli, solver), []
+
+        def counted(*args, **kwargs):
+            seen.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, solver, counted)
+        code, _, _ = run_cli(["sweep", *argv, "-N", "64", "-d", "8"], capsys)
+        assert code == 0
+        assert len(seen) == calls
+
     def test_rows_sorted_by_parameters(self, capsys):
         code, out, _ = run_cli(
             ["sweep", "--problem", "problem1", "--p", "3,1.5", "--q", "1,0",

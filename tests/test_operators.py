@@ -84,6 +84,43 @@ class TestConvolutionOperator:
             convolution_operator(spec, grid64)
 
 
+class TestRowApply:
+    """apply and apply_adjoint on an (S, N) array act on each row."""
+
+    def _rows(self, rng, n):
+        return rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
+
+    @pytest.mark.parametrize("n", [0, 2])
+    def test_circulant_rows_are_bit_identical(self, grid64, rng, n):
+        op = identity_minus(convolution_operator(KernelSpec.fejer(n), grid64))
+        x = self._rows(rng, 64)
+        for fn in (op.apply, op.apply_adjoint):
+            batch = fn(x)
+            assert batch.shape == x.shape
+            for i in range(x.shape[0]):
+                assert np.array_equal(batch[i], fn(x[i]))
+
+    @pytest.mark.parametrize("kind", ["complex", "real"])
+    def test_dense_rows_match_single_vectors(self, rng, kind):
+        m = rng.standard_normal((64, 64))
+        if kind == "complex":
+            m = m + 1j * rng.standard_normal((64, 64))
+        op = OperatorRep(matrix=m, basis="grid", grid=make_grid(64))
+        assert op.matrix.dtype == complex
+        x = self._rows(rng, 64)
+        for fn, ref in ((op.apply, m), (op.apply_adjoint, m.conj().T)):
+            batch = fn(x)
+            for i in range(x.shape[0]):
+                single = fn(x[i])
+                assert np.max(np.abs(batch[i] - single)) <= 1e-15 * np.max(np.abs(single))
+                assert np.max(np.abs(single - ref @ x[i])) <= 1e-13 * np.max(np.abs(single))
+
+    def test_complex_matrix_is_held_without_a_copy(self, rng):
+        m = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+        op = OperatorRep(matrix=m, basis="grid", grid=make_grid(8))
+        assert op.matrix is m
+
+
 class TestIdentityMinus:
     def test_on_identity(self, grid64, rng):
         op = identity_minus(identity_operator(grid64))

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -37,8 +38,9 @@ from hardybench.operators import (
 from hardybench.opnorm import (
     DEFAULT_SEED,
     _coeff_starts,
-    _grid_starts,
     _dual_ascent,
+    _dualize,
+    _grid_starts,
     _row_operator,
     _subspace_ascent,
     certified_ratio,
@@ -417,6 +419,37 @@ class TestBatchedSubspaceAscent:
             else:
                 ref = (np.sum(np.abs(num) ** p) / np.sum(np.abs(den) ** p)) ** (1.0 / p)
             assert abs(certified_ratio(op, w, p) - ref) <= 1e-13 * ref
+
+
+class TestDualize:
+    @pytest.mark.parametrize("p", [1.02, 1.5, 2.0, 4.0])
+    def test_subnormal_entries_are_finite(self, p):
+        # complex division by a subnormal modulus overflows to nan
+        y = np.array([4e-320 + 3e-320j, 1.5 - 2.0j, 0.0, -3e-310j, -2e-308, 1e-300 + 1e-300j])
+        out = _dualize(y, p)
+        assert np.all(np.isfinite(out))
+        a = np.abs(y)
+        normal = a >= np.finfo(float).tiny
+        ref = y[normal] / a[normal]
+        ref *= a[normal] ** (p - 1.0)
+        assert np.array_equal(out[normal], ref)  # other entries bit-identical
+        assert out[2] == 0.0
+        sub = np.flatnonzero((a > 0.0) & ~normal)
+        target = a[sub] ** (p - 1.0)
+        assert np.all(np.abs(np.abs(out[sub]) - target) <= 1e-12 * target + 2e-323)
+        resolved = target >= np.finfo(float).tiny
+        phase_err = np.abs(np.angle(np.exp(1j * (np.angle(out[sub]) - np.angle(y[sub])))))
+        assert np.all(phase_err[resolved] <= 1e-15)
+        assert np.all(phase_err[~resolved & (target > 1e-321)] <= 1e-3)
+
+
+class TestExchangeAscent:
+    def test_p1_raises_no_warning(self, grid64):
+        op = analytic_restriction(fejer_difference_operator(1, grid64), 8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = subspace_norm(op, 1.0, starts=2, seed=3)
+        assert abs(certified_ratio(op, est.witness, 1.0) - est.value) <= 1e-12 * est.value
 
 
 class TestBruteForceOracle:
