@@ -7,11 +7,14 @@ is always re-evaluated as ||A w|| / ||w|| at the returned witness w, so it
 can never exceed the true operator norm.  Exact formulas exist only for
 p in {1, 2, inf} on unweighted grids.
 
-One loop, `_dual_ascent`, runs every power iteration.  For 1 < p < inf it
-is the dual-vector iteration for the l^p norm; at p = 2 that is power
-iteration on A^H A, which serves the L^2 norm and the singular-vector
-starts.  Operators are applied only through `OperatorRep.apply` and
-`apply_adjoint`; a weighted domain conjugates them by the weight.
+One function, `_ascend`, runs every ascent from a batch of starts.  It
+alone knows which vectors an operator's norm is a plain l^p norm of: the
+grid samples, the samples conjugated by a weight, or the synthesised
+samples of analytic coefficients.  Weighted analytic operators are
+rejected there, since no ascent yet optimises their norm.  One loop,
+`_dual_ascent`, runs every power iteration; at p = 2 it is power iteration
+on A^H A.  Operators are applied only through `OperatorRep.apply` and
+`apply_adjoint`.
 """
 
 from __future__ import annotations
@@ -156,20 +159,6 @@ def exact_norm_endpoint(op: OperatorRep, p: float) -> NormEstimate:
     )
 
 
-def _row_operator(op: OperatorRep, w: np.ndarray | None = None):
-    """Row-wise A and A^H of an operator: functions taking each row x of an
-    array (or a single vector) to A x and A^H x.  With a weight w they
-    apply the similarity D_w A D_w^{-1} and its adjoint instead, as
-    w * A(x / w) and A^H(x * w) / w, so no weighted matrix is formed.
-    """
-    if w is None:
-        return op.apply, op.apply_adjoint
-    return (
-        lambda x: w * op.apply(x / w),
-        lambda x: op.apply_adjoint(x * w) / w,
-    )
-
-
 def exact_norm_p2(op: OperatorRep, tol: float = 1e-12, seed: int = DEFAULT_SEED) -> NormEstimate:
     """Largest singular value, exact for the L^2 operator norm.
 
@@ -179,9 +168,10 @@ def exact_norm_p2(op: OperatorRep, tol: float = 1e-12, seed: int = DEFAULT_SEED)
     on the normal operator A^H A, run as one batch from the all-ones start
     and 4 random starts.  A clustered spectral top keeps some start from
     meeting the increment test within the iteration cap; a dense SVD then
-    finishes the job exactly.
+    finishes the job exactly.  A weighted analytic operator raises
+    ValueError (see `_ascend`).
     """
-    w = _weight_vector(op) if op.basis == "grid" else None
+    w = _weight_vector(op)
     if op.circulant and w is None:
         idx = int(np.argmax(np.abs(op.multipliers)))
         witness = np.exp(2j * np.pi * idx * np.arange(op.dim) / op.dim)
@@ -196,17 +186,13 @@ def exact_norm_p2(op: OperatorRep, tol: float = 1e-12, seed: int = DEFAULT_SEED)
     for i in range(4):
         rng = np.random.default_rng([seed, 2, i])
         starts.append(rng.standard_normal(n) + 1j * rng.standard_normal(n))
-    apply_rows, adjoint_rows = _row_operator(op, w)
-    vals, xs, iters, ok = _dual_ascent(
-        apply_rows, adjoint_rows, np.array(starts), 2.0, tol, _MAX_ITER
-    )
+    vals, xs, iters, ok = _ascend(op, starts, 2.0, tol, _MAX_ITER)
     if ok.all():
         vec = xs[int(np.argmax(vals))]
+    elif w is None:
+        vec = np.linalg.svd(op.matrix)[2][0].conj()
     else:
-        mat = op.matrix if w is None else (op.matrix * w[:, None]) / w[None, :]
-        vec = np.linalg.svd(mat)[2][0].conj()
-    if w is not None:
-        vec = vec / w
+        vec = np.linalg.svd((op.matrix * w[:, None]) / w[None, :])[2][0].conj() / w
     return NormEstimate(
         value=certified_ratio(op, vec, 2.0),
         witness=vec,
@@ -218,7 +204,7 @@ def exact_norm_p2(op: OperatorRep, tol: float = 1e-12, seed: int = DEFAULT_SEED)
 
 
 # ---------------------------------------------------------------------------
-# dual-vector power iteration for 1 < p < inf
+# dual-vector power iteration, and the one ascent entry for every basis
 # ---------------------------------------------------------------------------
 
 
@@ -272,13 +258,90 @@ def _dual_ascent(apply_rows, adjoint_rows, x0, p, tol, max_iter, project=None):
     return best_val, best_x, iters, converged
 
 
+def _ascend(op: OperatorRep, starts, p: float, tol: float, max_iter: int):
+    """Ascend ||A x||_p / ||x||_p from every start (row of `starts`, in the
+    operator's own basis) at once; 1 < p < inf on a grid basis and
+    1 <= p <= inf on an analytic one.
+
+    The one place that knows which vectors the norm is a plain l^p norm
+    of.  A grid operator iterates on its samples; with a weight w on its
+    domain, on the similarity w A(x / w) and its adjoint A^H(x w) / w, so
+    the starts enter as samples and the witnesses come back divided by w.
+    An analytic operator iterates on the synthesised samples of its
+    coefficients, projecting each dual update back onto the analytic span;
+    at p = 2 Parseval lets it iterate on the coefficients themselves.  At
+    p in {1, inf} each start runs the exchange ascent and the smooth
+    companion ascent (q = 64 or 1.02, certified at p) and keeps the better.
+    A weighted analytic operator raises ValueError: none of these ascents
+    optimises its norm.
+
+    Returns per-start arrays: best value, witness, iterations and
+    convergence; a zero start gives value 0 at itself.
+    """
+    x0 = np.asarray(starts, dtype=complex)
+    w = _weight_vector(op)
+    if op.basis == "analytic":
+        if w is not None:
+            raise ValueError("no ascent optimises the norm of a weighted analytic operator")
+        if p == 1.0 or p == INF:
+            _, smooth, iters, ok = _ascend(op, x0, 64.0 if p == INF else 1.02, tol, max_iter)
+            e_mat = synthesis_matrix(op.grid, op.degree)
+            results = []
+            for c0, c2 in zip(x0, smooth):
+                val, c = _subspace_exchange_ascent(op, e_mat, c0, p)
+                r2 = certified_ratio(op, c2, p) if np.any(c2 != 0) else 0.0
+                results.append((r2, c2) if r2 > val else (val, c))
+            vals, xs = zip(*results)
+            return np.array(vals), np.array(xs), iters, ok
+        if p != 2.0:
+            n, degree = op.grid.n_points, op.degree
+            vals, xs, iters, ok = _dual_ascent(
+                lambda x: analytic_synthesis(op.apply(analytic_analysis(x, degree)), n),
+                lambda y: analytic_synthesis(op.apply_adjoint(analytic_analysis(y, degree)), n),
+                analytic_synthesis(x0, n),
+                p,
+                tol,
+                max_iter,
+                project=lambda x: analytic_synthesis(analytic_analysis(x, degree), n),
+            )
+            # a copy: a view would keep the (S, N) spectrum alive in every witness
+            return vals, analytic_analysis(xs, degree).copy(), iters, ok
+    if w is None:
+        return _dual_ascent(op.apply, op.apply_adjoint, x0, p, tol, max_iter)
+    vals, xs, iters, ok = _dual_ascent(
+        lambda x: w * op.apply(x / w),
+        lambda x: op.apply_adjoint(x * w) / w,
+        x0,
+        p,
+        tol,
+        max_iter,
+    )
+    return vals, xs / w, iters, ok
+
+
+def _best(op: OperatorRep, p: float, vals, xs, iters, ok) -> NormEstimate:
+    """The estimate of the first start with the largest value, replayed at
+    its witness."""
+    witness = xs[int(np.argmax(vals))].copy()
+    return NormEstimate(
+        value=certified_ratio(op, witness, p),
+        witness=witness,
+        method="power",
+        n_starts=len(vals),
+        n_iters=int(iters.sum()),
+        converged=bool(ok.all()),
+    )
+
+
 def _top_singular_vector(op: OperatorRep, seed_key: list[int]) -> np.ndarray:
-    """A start near the top right singular vector: the best iterate of one
-    p = 2 power iteration (on A^H A) from a random complex draw."""
+    """A start near the top right singular vector: the best iterate of p = 2
+    power iteration (on A^H A) from the all-ones vector and a random complex
+    draw, taken from the row that reaches the larger value."""
+    n = op.dim
     rng = np.random.default_rng(seed_key)
-    x0 = rng.standard_normal(op.dim) + 1j * rng.standard_normal(op.dim)
-    _, xs, _, _ = _dual_ascent(op.apply, op.apply_adjoint, x0[None, :], 2.0, 1e-8, 2000)
-    return xs[0]
+    x0 = np.array([np.ones(n), rng.standard_normal(n) + 1j * rng.standard_normal(n)])
+    vals, xs, _, _ = _dual_ascent(op.apply, op.apply_adjoint, x0, 2.0, 1e-8, 2000)
+    return xs[int(np.argmax(vals))]
 
 
 def _two_level_starts(n: int) -> list[np.ndarray]:
@@ -337,25 +400,9 @@ def power_method_pnorm(
         raise ValueError(f"power method needs 1 < p < inf, got {p}")
     if not np.all(np.isfinite(op.matrix)):
         raise ValueError("operator matrix contains non-finite entries")
-    w = _weight_vector(op)
     if op.basis != "grid":
         raise ValueError("power_method_pnorm expects a grid-basis operator")
-    apply_rows, adjoint_rows = _row_operator(op, w)
-    start_list = _grid_starts(op, starts, seed)
-    vals, xs, iters, ok = _dual_ascent(
-        apply_rows, adjoint_rows, np.array(start_list), p, tol, max_iter
-    )
-    witness = xs[int(np.argmax(vals))].copy()  # the first start with the largest value
-    if w is not None:
-        witness = witness / w
-    return NormEstimate(
-        value=certified_ratio(op, witness, p),
-        witness=witness,
-        method="power",
-        n_starts=len(start_list),
-        n_iters=int(iters.sum()),
-        converged=bool(ok.all()),
-    )
+    return _best(op, p, *_ascend(op, _grid_starts(op, starts, seed), p, tol, max_iter))
 
 
 # ---------------------------------------------------------------------------
@@ -384,8 +431,7 @@ def _automorphism_starts(degree: int) -> list[np.ndarray]:
         for m in (2, 3, 5):
             if m <= degree:
                 sub = np.zeros(degree + 1, dtype=complex)
-                base = (degree // m) + 1
-                sub[:: m] = c[:base] if sub[::m].size == base else c[: sub[::m].size]
+                sub[::m] = c[: degree // m + 1]
                 lacunary.append(sub)
     return starts + lacunary
 
@@ -404,29 +450,6 @@ def _coeff_starts(op: OperatorRep, n_random: int, seed: int) -> list[np.ndarray]
         rng = np.random.default_rng([seed, 6, i])
         starts.append(rng.standard_normal(d + 1) + 1j * rng.standard_normal(d + 1))
     return starts
-
-
-def _subspace_ascent(op, c0, p, tol, max_iter):
-    """Projected dual-vector iteration on grid samples, 1 < p < inf, run
-    from every start (row of c0) at once.
-
-    The dual update leaves the analytic span, so it is orthogonally
-    projected back (Riesz-type projection) before renormalizing.  Returns
-    per-row arrays: best value, best coefficients, iterations and
-    convergence; a zero start gives value 0 at itself.
-    """
-    n, degree = op.grid.n_points, op.degree
-    vals, xs, iters, ok = _dual_ascent(
-        lambda x: analytic_synthesis(op.apply(analytic_analysis(x, degree)), n),
-        lambda y: analytic_synthesis(op.apply_adjoint(analytic_analysis(y, degree)), n),
-        analytic_synthesis(np.asarray(c0, dtype=complex), n),
-        p,
-        tol,
-        max_iter,
-        project=lambda x: analytic_synthesis(analytic_analysis(x, degree), n),
-    )
-    # a copy: a view would keep the (S, N) spectrum alive in every witness
-    return vals, analytic_analysis(xs, degree).copy(), iters, ok
 
 
 def _subspace_exchange_ascent(op, e_mat, c0, p, max_iter=300, stall=30):
@@ -494,6 +517,7 @@ def subspace_norm(
 
     The degree-d value lower-bounds the degree-(d+1) value (nested
     subspaces), which in turn lower-bounds the full analytic-subspace norm.
+    A weighted domain raises ValueError (see `_ascend`).
     """
     if op.basis != "analytic":
         raise ValueError("subspace_norm expects an analytic-basis operator")
@@ -501,34 +525,7 @@ def subspace_norm(
         raise ValueError(f"p must lie in [1, inf], got {p}")
     if p == 2.0:
         return exact_norm_p2(op, seed=seed)
-    start_list = _coeff_starts(op, starts, seed)
-    if p == 1.0 or p == INF:
-        # smooth near-endpoint ascent from every start, certified at true p
-        _, smooth_c, iters, ok = _subspace_ascent(
-            op, start_list, 64.0 if p == INF else 1.02, tol, max_iter
-        )
-        e_mat = synthesis_matrix(op.grid, op.degree)
-        results = []
-        for c0, c2 in zip(start_list, smooth_c):
-            val, c = _subspace_exchange_ascent(op, e_mat, c0, p)
-            r2 = certified_ratio(op, c2, p) if np.any(c2 != 0) else 0.0
-            results.append((r2, c2) if r2 > val else (val, c))
-    else:
-        vals, cs, iters, ok = _subspace_ascent(op, start_list, p, tol, max_iter)
-        results = zip(vals, cs)
-    best_val, best_c = -1.0, start_list[0]
-    for val, c in results:
-        if val > best_val and np.any(c != 0):
-            best_val, best_c = val, c
-    value = certified_ratio(op, best_c, p)
-    return NormEstimate(
-        value=value,
-        witness=best_c,
-        method="power",
-        n_starts=len(start_list),
-        n_iters=int(iters.sum()),
-        converged=bool(ok.all()),
-    )
+    return _best(op, p, *_ascend(op, _coeff_starts(op, starts, seed), p, tol, max_iter))
 
 
 def operator_norm(

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import CircleGrid, FourierCoeffs
+from .grid import CircleGrid
 from .kernels import KernelSpec
 from .operators import (
     OperatorRep,
@@ -22,20 +22,16 @@ from .operators import (
     backward_shift,
     convolution_operator,
     identity_minus,
-    substitute_fm,
-    synthesis_matrix,
 )
 from .opnorm import (
     DEFAULT_SEED,
     NormEstimate,
-    _subspace_ascent,
-    _subspace_exchange_ascent,
+    _ascend,
     certified_ratio,
     operator_norm,
     power_method_pnorm,
     subspace_norm,
 )
-from .spaces import INF
 
 
 def fejer_difference_operator(n: int, grid: CircleGrid) -> OperatorRep:
@@ -65,17 +61,23 @@ def fejer_lp_estimate(
         m = n + 1
         idx = (m * np.arange(grid.n_points)) % grid.n_points
         transferred = base.witness[idx]
-        value = certified_ratio(op_n, transferred, p)
-        if value > est.value:
-            est = NormEstimate(
-                value=value,
-                witness=transferred,
-                method="power",
-                n_starts=est.n_starts + base.n_starts,
-                n_iters=est.n_iters + base.n_iters,
-                converged=est.converged and base.converged,
-            )
+        est = _better(est, base, certified_ratio(op_n, transferred, p), transferred)
     return est
+
+
+def _better(direct: NormEstimate, base: NormEstimate, value: float, witness) -> NormEstimate:
+    """The transferred certificate (value, witness) if it beats the direct
+    estimate, counting the base solve's starts and iterations; else direct."""
+    if value > direct.value:
+        return NormEstimate(
+            value=value,
+            witness=witness,
+            method="power",
+            n_starts=direct.n_starts + base.n_starts,
+            n_iters=direct.n_iters + base.n_iters,
+            converged=direct.converged and base.converged,
+        )
+    return direct
 
 
 def _polish_subspace(op, witness, p, seed, trials=4, noise=1e-3):
@@ -89,11 +91,7 @@ def _polish_subspace(op, witness, p, seed, trials=4, noise=1e-3):
         rng = np.random.default_rng([seed, 7, t])
         bump = rng.standard_normal(witness.size) + 1j * rng.standard_normal(witness.size)
         starts.append(witness + noise * scale / np.linalg.norm(bump) * bump)
-    if p == 1.0 or p == INF:
-        e_mat = synthesis_matrix(op.grid, op.degree)
-        cands = [_subspace_exchange_ascent(op, e_mat, start, p)[1] for start in starts]
-    else:
-        _, cands, _, _ = _subspace_ascent(op, starts, p, 1e-12, 5000)
+    _, cands, _, _ = _ascend(op, starts, p, 1e-12, 5000)
     for cand in cands:
         if np.any(cand != 0):
             val = certified_ratio(op, cand, p)
@@ -127,22 +125,9 @@ def fejer_hp_estimate(
         return direct
     op_0 = analytic_restriction(fejer_difference_operator(0, grid), base_degree)
     base = subspace_norm(op_0, p, starts=starts, seed=seed)
-    full = np.zeros(2 * base_degree + 1, dtype=complex)
-    full[base_degree:] = base.witness
-    pushed = substitute_fm(FourierCoeffs(base_degree, full), m, grid)
     transferred = np.zeros(degree + 1, dtype=complex)
-    transferred[: pushed.degree + 1] = pushed.coeffs[pushed.degree :]
-    value, witness = _polish_subspace(op_n, transferred, p, seed)
-    if value > direct.value:
-        return NormEstimate(
-            value=value,
-            witness=witness,
-            method="power",
-            n_starts=direct.n_starts + base.n_starts,
-            n_iters=direct.n_iters + base.n_iters,
-            converged=direct.converged and base.converged,
-        )
-    return direct
+    transferred[: m * base_degree + 1 : m] = base.witness  # f -> f(z^m)
+    return _better(direct, base, *_polish_subspace(op_n, transferred, p, seed))
 
 
 def backward_shift_estimate(

@@ -37,12 +37,12 @@ from hardybench.operators import (
 )
 from hardybench.opnorm import (
     DEFAULT_SEED,
+    _ascend,
     _coeff_starts,
     _dual_ascent,
     _dualize,
     _grid_starts,
-    _row_operator,
-    _subspace_ascent,
+    _subspace_exchange_ascent,
     certified_ratio,
 )
 from hardybench.problems import (
@@ -242,7 +242,7 @@ class TestOperatorNorm:
 
 def _power_starts(n, grid):
     op = fejer_difference_operator(n, grid)
-    return _row_operator(op), np.array(_grid_starts(op, 4, DEFAULT_SEED))
+    return (op.apply, op.apply_adjoint), np.array(_grid_starts(op, 4, DEFAULT_SEED))
 
 
 def _weighted_circulant(grid, rng, p):
@@ -287,11 +287,15 @@ class TestBatchedPowerAscent:
 
     def test_weighted_fft_matches_dense_similarity(self, grid64, rng):
         op, d, sim = _weighted_circulant(grid64, rng, 1.5)
-        fwd, adj = _row_operator(op, d)
         x = rng.standard_normal((3, 64)) + 1j * rng.standard_normal((3, 64))
-        for got, ref in ((fwd(x), x @ sim.T), (adj(x), x @ sim.conj())):
-            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
-        assert np.max(np.abs(fwd(x[0]) - sim @ x[0])) <= 1e-12 * np.max(np.abs(sim @ x[0]))
+        vals, xs, iters, ok = _ascend(op, x, 1.5, 1e-10, 10_000)
+        ref_vals, ref_xs, ref_iters, ref_ok = _dual_ascent(
+            lambda v: v @ sim.T, lambda v: v @ sim.conj(), x, 1.5, 1e-10, 10_000
+        )
+        assert np.allclose(vals, ref_vals, rtol=1e-12, atol=0.0)
+        ref_w = ref_xs / d
+        assert np.max(np.abs(xs - ref_w)) <= 1e-12 * np.max(np.abs(ref_w))
+        assert np.array_equal(iters, ref_iters) and np.array_equal(ok, ref_ok)
 
     def test_weighted_circulant_matches_dense_similarity(self, grid64, rng):
         op, _, sim = _weighted_circulant(grid64, rng, 3.0)
@@ -359,18 +363,18 @@ class TestBatchedSubspaceAscent:
     @pytest.mark.parametrize("p", [1.5, 4.0])
     def test_batch_matches_single_rows(self, grid256, p):
         op, starts = _restricted_starts(1, 12, grid256)
-        vals, cs, iters, ok = _subspace_ascent(op, starts, p, 1e-10, 10_000)
+        vals, cs, iters, ok = _ascend(op, starts, p, 1e-10, 10_000)
         for i, c0 in enumerate(starts):
-            v1, c1, it1, ok1 = _subspace_ascent(op, c0[None, :], p, 1e-10, 10_000)
+            v1, c1, it1, ok1 = _ascend(op, c0[None, :], p, 1e-10, 10_000)
             assert abs(v1[0] - vals[i]) <= 1e-12 * vals[i]
             assert np.max(np.abs(c1[0] - cs[i])) <= 1e-12 * np.max(np.abs(cs[i]))
             assert (it1[0], ok1[0]) == (iters[i], ok[i])
 
     def test_zero_start_keeps_other_rows(self, grid256):
         op, starts = _restricted_starts(0, 10, grid256)
-        ref_vals, ref_cs, ref_iters, _ = _subspace_ascent(op, starts, 3.0, 1e-10, 10_000)
+        ref_vals, ref_cs, ref_iters, _ = _ascend(op, starts, 3.0, 1e-10, 10_000)
         batch = np.insert(starts, 2, 0.0, axis=0)
-        vals, cs, iters, ok = _subspace_ascent(op, batch, 3.0, 1e-10, 10_000)
+        vals, cs, iters, ok = _ascend(op, batch, 3.0, 1e-10, 10_000)
         assert vals[2] == 0.0 and iters[2] == 0 and ok[2]
         assert not np.any(cs[2])
         others = np.arange(batch.shape[0]) != 2
@@ -380,13 +384,28 @@ class TestBatchedSubspaceAscent:
 
     def test_capped_row_reports_unconverged(self, grid256):
         op, starts = _restricted_starts(0, 12, grid256)
-        _, _, iters, ok = _subspace_ascent(op, starts, 1.5, 1e-10, 10_000)
+        _, _, iters, ok = _ascend(op, starts, 1.5, 1e-10, 10_000)
         assert ok.all()
         cap = int(iters.max()) - 1
         assert np.sum(iters <= cap) >= 2  # some rows finish under the cap
-        _, _, capped_iters, capped_ok = _subspace_ascent(op, starts, 1.5, 1e-10, cap)
+        _, _, capped_iters, capped_ok = _ascend(op, starts, 1.5, 1e-10, cap)
         assert np.array_equal(capped_ok, iters <= cap)
         assert np.array_equal(capped_iters, np.minimum(iters, cap))
+
+    @pytest.mark.parametrize("p", [1.0, INF])
+    def test_endpoint_rows_keep_the_better_ascent(self, grid256, p):
+        op, starts = _restricted_starts(1, 12, grid256)
+        vals, cs, iters, ok = _ascend(op, starts, p, 1e-10, 10_000)
+        q = 64.0 if p == INF else 1.02
+        _, smooth, smooth_iters, smooth_ok = _ascend(op, starts, q, 1e-10, 10_000)
+        assert np.array_equal(iters, smooth_iters) and np.array_equal(ok, smooth_ok)
+        e_mat = synthesis_matrix(grid256, op.degree)
+        for i, c0 in enumerate(starts):
+            val, c = _subspace_exchange_ascent(op, e_mat, c0, p)
+            smooth_val = certified_ratio(op, smooth[i], p)
+            want_val, want_c = (smooth_val, smooth[i]) if smooth_val > val else (val, c)
+            assert vals[i] == want_val
+            assert np.array_equal(cs[i], want_c)
 
     @pytest.mark.parametrize("n_pts", [64, 65])
     def test_fft_matches_synthesis_matrix(self, n_pts, rng):
@@ -419,6 +438,38 @@ class TestBatchedSubspaceAscent:
             else:
                 ref = (np.sum(np.abs(num) ** p) / np.sum(np.abs(den) ** p)) ** (1.0 / p)
             assert abs(certified_ratio(op, w, p) - ref) <= 1e-13 * ref
+
+
+class TestWeightedAnalytic:
+    @staticmethod
+    def _restricted(grid, p):
+        w = SampledFunction(grid, np.exp(np.cos(grid.theta)).astype(complex))
+        op = convolution_operator(KernelSpec.fejer(1), grid, domain=WeightedLp(p, w))
+        return analytic_restriction(identity_minus(op), 12), w.values.real
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, INF])
+    def test_norm_is_rejected(self, grid256, p):
+        # the unweighted ascent returned 1.0000000074 as exact_p2 at p = 2;
+        # the weighted norm is 1.1928902
+        op, _ = self._restricted(grid256, p)
+        calls = [lambda: operator_norm(op, p), lambda: subspace_norm(op, p)]
+        if p == 2.0:
+            calls.append(lambda: exact_norm_p2(op))
+        for call in calls:
+            with pytest.raises(ValueError, match="weighted analytic"):
+                call()
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, INF])
+    def test_certificate_keeps_the_weight(self, grid256, rng, p):
+        op, w = self._restricted(grid256, p)
+        c = rng.standard_normal(13) + 1j * rng.standard_normal(13)
+        num = analytic_synthesis(op.matrix @ c, 256) * w
+        den = analytic_synthesis(c, 256) * w
+        if p == INF:
+            ref = np.max(np.abs(num)) / np.max(np.abs(den))
+        else:
+            ref = (np.sum(np.abs(num) ** p) / np.sum(np.abs(den) ** p)) ** (1.0 / p)
+        assert abs(lower_bound_certificate(op, c, p).value - ref) <= 1e-13 * ref
 
 
 class TestDualize:
