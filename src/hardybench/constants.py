@@ -7,14 +7,11 @@ assumed), then golden-section search refines it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spaces import INF, holder_conjugate
-
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+from .spaces import INF, _golden_max, _golden_min, holder_conjugate
 
 
 @dataclass
@@ -28,29 +25,7 @@ class ConstantReport:
     details: dict = field(default_factory=dict)
 
 
-def _golden_max(fn, lo, hi, tol):
-    x1 = hi - _GOLDEN * (hi - lo)
-    x2 = lo + _GOLDEN * (hi - lo)
-    f1, f2 = fn(x1), fn(x2)
-    while hi - lo > tol:
-        if f1 > f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _GOLDEN * (hi - lo)
-            f1 = fn(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _GOLDEN * (hi - lo)
-            f2 = fn(x2)
-    x = 0.5 * (lo + hi)
-    return x, fn(x)
-
-
-def _golden_min(fn, lo, hi, tol):
-    x, v = _golden_max(lambda t: -fn(t), lo, hi, tol)
-    return x, -v
-
-
-def franchetti_cp(p: float, grid_points: int = 100_001) -> ConstantReport:
+def franchetti_cp(p: float) -> ConstantReport:
     """Norm of "subtract the mean" on L^p:
 
         C_p = max_{0<=a<=1} (a^{p-1} + (1-a)^{p-1})^{1/p}
@@ -58,7 +33,8 @@ def franchetti_cp(p: float, grid_points: int = 100_001) -> ConstantReport:
 
     with C_1 = 2 exactly.  The objective is symmetric about a = 1/2 and in
     general has two symmetric maximizers; the canonical one (<= 1/2) is
-    reported, all grid-detected near-maximizers are attached.
+    reported, all near-maximizers found by the 100 001-point scan are
+    attached.
     """
     if p < 1.0:
         raise ValueError(f"p must lie in [1, inf), got {p}")
@@ -76,7 +52,7 @@ def franchetti_cp(p: float, grid_points: int = 100_001) -> ConstantReport:
         second = (alpha**s + (1.0 - alpha) ** s) ** (1.0 - 1.0 / p)
         return first * second
 
-    alphas = np.linspace(0.0, 1.0, grid_points)
+    alphas = np.linspace(0.0, 1.0, 100_001)
     values = objective(alphas)
     top = float(np.max(values))
     near = alphas[values >= top - 1e-9]

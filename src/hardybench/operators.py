@@ -224,8 +224,7 @@ def substitute_fm(
             f"an {grid.n_points}-point grid"
         )
     coeffs = np.zeros(2 * new_degree + 1, dtype=complex)
-    for k in range(f.degree + 1):
-        coeffs[new_degree + m * k] = f.coeff(k)
+    coeffs[new_degree::m] = f.coeffs[f.degree :]
     return FourierCoeffs(degree=new_degree, coeffs=coeffs)
 
 

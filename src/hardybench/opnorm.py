@@ -20,6 +20,7 @@ on A^H A.  Operators are applied only through `OperatorRep.apply` and
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 
 import numpy as np
 
@@ -47,8 +48,12 @@ class NormEstimate:
     method: str
     n_starts: int = 1
     n_iters: int = 0
-    is_certified_lower_bound: bool = True
     converged: bool = True
+
+    @property
+    def is_certified_lower_bound(self) -> bool:
+        """False for an exact formula's value, which needs no certificate."""
+        return not self.method.startswith("exact")
 
 
 # ---------------------------------------------------------------------------
@@ -154,12 +159,10 @@ def exact_norm_endpoint(op: OperatorRep, p: float) -> NormEstimate:
     else:
         raise UnsupportedExactError(f"exact endpoint formula needs p in {{1, inf}}, got {p}")
     value = certified_ratio(op, witness, p)
-    return NormEstimate(
-        value=value, witness=witness, method=method, is_certified_lower_bound=False
-    )
+    return NormEstimate(value=value, witness=witness, method=method)
 
 
-def exact_norm_p2(op: OperatorRep, tol: float = 1e-12, seed: int = DEFAULT_SEED) -> NormEstimate:
+def exact_norm_p2(op: OperatorRep, seed: int = DEFAULT_SEED) -> NormEstimate:
     """Largest singular value, exact for the L^2 operator norm.
 
     Circulant operators are diagonal in the Fourier basis, so their 2-norm
@@ -167,26 +170,21 @@ def exact_norm_p2(op: OperatorRep, tol: float = 1e-12, seed: int = DEFAULT_SEED)
     Otherwise: the dual-vector iteration at p = 2, which is power iteration
     on the normal operator A^H A, run as one batch from the all-ones start
     and 4 random starts.  A clustered spectral top keeps some start from
-    meeting the increment test within the iteration cap; a dense SVD then
-    finishes the job exactly.  A weighted analytic operator raises
-    ValueError (see `_ascend`).
+    meeting the increment test (1e-12 relative) within the iteration cap
+    `_MAX_ITER`; a dense SVD then finishes the job exactly.  A weighted
+    analytic operator raises ValueError (see `_ascend`).
     """
     w = _weight_vector(op)
     if op.circulant and w is None:
         idx = int(np.argmax(np.abs(op.multipliers)))
         witness = np.exp(2j * np.pi * idx * np.arange(op.dim) / op.dim)
-        return NormEstimate(
-            value=certified_ratio(op, witness, 2.0),
-            witness=witness,
-            method="exact_p2",
-            is_certified_lower_bound=False,
-        )
+        return NormEstimate(certified_ratio(op, witness, 2.0), witness, "exact_p2")
     n = op.dim
     starts = [np.ones(n, dtype=complex)]
     for i in range(4):
         rng = np.random.default_rng([seed, 2, i])
         starts.append(rng.standard_normal(n) + 1j * rng.standard_normal(n))
-    vals, xs, iters, ok = _ascend(op, starts, 2.0, tol, _MAX_ITER)
+    vals, xs, iters, ok = _ascend(op, starts, 2.0, 1e-12, _MAX_ITER)
     if ok.all():
         vec = xs[int(np.argmax(vals))]
     elif w is None:
@@ -199,7 +197,6 @@ def exact_norm_p2(op: OperatorRep, tol: float = 1e-12, seed: int = DEFAULT_SEED)
         method="exact_p2",
         n_starts=len(starts),
         n_iters=int(iters.sum()),
-        is_certified_lower_bound=False,
     )
 
 
@@ -379,20 +376,16 @@ def _grid_starts(op: OperatorRep, n_random: int, seed: int) -> list[np.ndarray]:
 
 
 def power_method_pnorm(
-    op: OperatorRep,
-    p: float,
-    starts: int = 8,
-    tol: float = 1e-10,
-    seed: int = DEFAULT_SEED,
-    max_iter: int = _MAX_ITER,
+    op: OperatorRep, p: float, starts: int = 8, seed: int = DEFAULT_SEED
 ) -> NormEstimate:
     """Certified lower bound for ||A||_{L^p}, 1 < p < inf, by dual-vector
     power iteration with multiple deterministic and random starts.
 
     Weighted domains are reduced to the unweighted problem through the
-    similarity transform D_w A D_w^{-1}.  Non-convergence of an individual
-    start is not an error; the best certified value found is returned with
-    converged=False.
+    similarity transform D_w A D_w^{-1}.  Each start stops when its value
+    rises by at most 1e-10 relative, or after `_MAX_ITER` iterations.
+    Non-convergence of an individual start is not an error; the best
+    certified value found is returned with converged=False.
     """
     if p == 1.0 or p == INF:
         raise ValueError("use exact_norm_endpoint for p in {1, inf}")
@@ -402,7 +395,7 @@ def power_method_pnorm(
         raise ValueError("operator matrix contains non-finite entries")
     if op.basis != "grid":
         raise ValueError("power_method_pnorm expects a grid-basis operator")
-    return _best(op, p, *_ascend(op, _grid_starts(op, starts, seed), p, tol, max_iter))
+    return _best(op, p, *_ascend(op, _grid_starts(op, starts, seed), p, 1e-10, _MAX_ITER))
 
 
 # ---------------------------------------------------------------------------
@@ -452,14 +445,15 @@ def _coeff_starts(op: OperatorRep, n_random: int, seed: int) -> list[np.ndarray]
     return starts
 
 
-def _subspace_exchange_ascent(op, e_mat, c0, p, max_iter=300, stall=30):
+def _subspace_exchange_ascent(op, e_mat, c0, p):
     """Exchange-style ascent for the endpoint norms p in {1, inf}.
 
     p = inf: linearize at the current maximizing grid point, take the
     unimodular grid function that maximizes the linearization, project it
     onto the analytic span, repeat.  p = 1: dual exchange with projected
-    point masses (reproducing kernels).  The best certified ratio over all
-    iterates is returned.
+    point masses (reproducing kernels).  It stops after 300 steps, or after
+    30 in a row that raise the best ratio by no more than 1e-14 relative;
+    the best certified ratio over all iterates is returned.
     """
     n = e_mat.shape[0]
     w = 1.0 / n
@@ -477,7 +471,7 @@ def _subspace_exchange_ascent(op, e_mat, c0, p, max_iter=300, stall=30):
     c = c0 / max(_vec_lp(e_mat @ c0, p), 1e-300)
     best_val, best_c = ratio(c0), c0
     since_improve = 0
-    for _ in range(max_iter):
+    for _ in range(300):
         y = e_mat @ op.apply(c)
         if p == INF:
             j = int(np.argmax(np.abs(y)))
@@ -498,26 +492,23 @@ def _subspace_exchange_ascent(op, e_mat, c0, p, max_iter=300, stall=30):
             since_improve = 0
         else:
             since_improve += 1
-            if since_improve > stall:
+            if since_improve > 30:
                 break
         c = c_new / max(_vec_lp(e_mat @ c_new, p), 1e-300)
     return best_val, best_c
 
 
 def subspace_norm(
-    op: OperatorRep,
-    p: float,
-    starts: int = 8,
-    tol: float = 1e-10,
-    seed: int = DEFAULT_SEED,
-    max_iter: int = _MAX_ITER,
+    op: OperatorRep, p: float, starts: int = 8, seed: int = DEFAULT_SEED
 ) -> NormEstimate:
     """Certified lower bound of the induced norm of an analytic-basis
     operator: max ||synth(A c)||_{L^p} / ||synth(c)||_{L^p} over c != 0.
 
     The degree-d value lower-bounds the degree-(d+1) value (nested
     subspaces), which in turn lower-bounds the full analytic-subspace norm.
-    A weighted domain raises ValueError (see `_ascend`).
+    Each start stops as in `power_method_pnorm` (1e-10 relative, or
+    `_MAX_ITER` iterations).  A weighted domain raises ValueError (see
+    `_ascend`).
     """
     if op.basis != "analytic":
         raise ValueError("subspace_norm expects an analytic-basis operator")
@@ -525,7 +516,7 @@ def subspace_norm(
         raise ValueError(f"p must lie in [1, inf], got {p}")
     if p == 2.0:
         return exact_norm_p2(op, seed=seed)
-    return _best(op, p, *_ascend(op, _coeff_starts(op, starts, seed), p, tol, max_iter))
+    return _best(op, p, *_ascend(op, _coeff_starts(op, starts, seed), p, 1e-10, _MAX_ITER))
 
 
 def operator_norm(
@@ -569,16 +560,17 @@ def brute_force_oracle(matrix: np.ndarray, p: float, resolution: int | None = No
         # are narrow and need the denser coarse pass
         resolution = 20_000 if dim == 2 else 1_000_000
 
-    # coarse scan: simplex weights x phases
+    # coarse scan: every simplex point (weights summing to <= 1) paired with
+    # every phase point, the phases varying fastest
     n_free = (dim - 1) * 2  # simplex coords + phases
     k = max(4, int(round((2.0 * resolution) ** (1.0 / n_free))))
-    simplex_axes = [np.linspace(0.0, 1.0, k)] * (dim - 1)
-    phase_axes = [np.linspace(0.0, 2.0 * np.pi, k, endpoint=False)] * (dim - 1)
-    grids = np.meshgrid(*simplex_axes, *phase_axes, indexing="ij")
-    params = np.stack([g.ravel() for g in grids], axis=1)
-    if dim == 3:
-        keep = params[:, 0] + params[:, 1] <= 1.0 + 1e-12
-        params = params[keep]
+    simplex = np.array(list(product(np.linspace(0.0, 1.0, k), repeat=dim - 1)))
+    simplex = simplex[simplex.sum(axis=1) <= 1.0 + 1e-12]
+    phase_axis = np.linspace(0.0, 2.0 * np.pi, k, endpoint=False)
+    phases = np.array(list(product(phase_axis, repeat=dim - 1)))
+    params = np.hstack(
+        [np.repeat(simplex, len(phases), axis=0), np.tile(phases, (len(simplex), 1))]
+    )
 
     def evaluate_batch(prms):
         s = np.empty((prms.shape[0], dim))

@@ -14,19 +14,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import CircleGrid, FourierCoeffs, SampledFunction, analyze, synthesize
-from .spaces import Lp, WeightedLp, lp_norm
+from .spaces import Lp, WeightedLp, _weight_values, lp_norm
 
 
 @dataclass(frozen=True, eq=False)
 class WeightSpec:
-    """Strictly positive weight samples; log w is then trivially summable."""
+    """Finite, real, strictly positive weight samples; log w is then
+    trivially summable."""
 
     samples: SampledFunction = field(repr=False)
 
     def __post_init__(self):
-        w = self.samples.values.real
-        if np.min(w) <= 0.0:
-            raise ValueError("weight must be strictly positive at every grid point")
+        _weight_values(self.samples)
 
     @property
     def grid(self) -> CircleGrid:

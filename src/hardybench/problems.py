@@ -80,17 +80,18 @@ def _better(direct: NormEstimate, base: NormEstimate, value: float, witness) -> 
     return direct
 
 
-def _polish_subspace(op, witness, p, seed, trials=4, noise=1e-3):
-    """Perturb a (possibly saddle-point) witness and re-ascend; returns the
-    best certified ratio and witness."""
+def _polish_subspace(op, witness, p, seed):
+    """Perturb a (possibly saddle-point) witness by 4 random bumps of 1e-3
+    relative size and re-ascend; returns the best certified ratio and
+    witness."""
     best_val = certified_ratio(op, witness, p)
     best_w = witness
     scale = np.linalg.norm(witness)
     starts = []
-    for t in range(trials):
+    for t in range(4):
         rng = np.random.default_rng([seed, 7, t])
         bump = rng.standard_normal(witness.size) + 1j * rng.standard_normal(witness.size)
-        starts.append(witness + noise * scale / np.linalg.norm(bump) * bump)
+        starts.append(witness + 1e-3 * scale / np.linalg.norm(bump) * bump)
     _, cands, _, _ = _ascend(op, starts, p, 1e-12, 5000)
     for cand in cands:
         if np.any(cand != 0):

@@ -45,11 +45,17 @@ def lp_norm(f: SampledFunction, p: float, weight: SampledFunction | None = None)
         raise ValueError(f"p must lie in [1, inf], got {p}")
     values = f.values
     if weight is not None:
-        w = weight.values.real
-        if np.min(w) <= 0.0:
-            raise ValueError("weight must be strictly positive")
-        values = values * w
+        values = values * _weight_values(weight)
     return _weighted_lp(values, p, f.grid.quad_weight)
+
+
+def _weight_values(weight: SampledFunction) -> np.ndarray:
+    """The samples of a weight as a real array; ValueError unless every
+    sample is finite, real (imaginary part exactly 0) and strictly positive."""
+    v = weight.values
+    if not np.all(np.isfinite(v) & (v.imag == 0.0) & (v.real > 0.0)):
+        raise ValueError("weight must be finite, real and strictly positive at every grid point")
+    return v.real
 
 
 def hp_norm(c: FourierCoeffs, p: float, grid: CircleGrid,
@@ -300,7 +306,8 @@ def luxemburg_norm(f: SampledFunction, phi: PhiSpec) -> float:
 
 
 def orlicz_amemiya_norm(f: SampledFunction, phi: PhiSpec) -> float:
-    """inf_{k>0} (1 + I_phi(k f))/k by golden-section search over log k.
+    """inf_{k>0} (1 + I_phi(k f))/k by golden-section search over log k,
+    to a bracket of width 1e-9; the value is the objective at its midpoint.
 
     The objective is unimodal in k (it is convex as a function of 1/k).
     """
@@ -336,20 +343,31 @@ def orlicz_amemiya_norm(f: SampledFunction, phi: PhiSpec) -> float:
         step *= 1.5
     else:
         raise NoConvergenceError("Amemiya bracket expansion failed")
+    return _golden_min(objective, lo, hi, 1e-9)[1]
 
+
+def _golden_max(fn, lo, hi, tol):
+    """Golden-section search for the maximum of a unimodal fn on [lo, hi];
+    returns the midpoint of the final bracket (width <= tol) and fn there."""
     x1 = hi - _GOLDEN * (hi - lo)
     x2 = lo + _GOLDEN * (hi - lo)
-    f1, f2 = objective(x1), objective(x2)
-    while hi - lo > 1e-9:
-        if f1 < f2:
+    f1, f2 = fn(x1), fn(x2)
+    while hi - lo > tol:
+        if f1 > f2:
             hi, x2, f2 = x2, x1, f1
             x1 = hi - _GOLDEN * (hi - lo)
-            f1 = objective(x1)
+            f1 = fn(x1)
         else:
             lo, x1, f1 = x1, x2, f2
             x2 = lo + _GOLDEN * (hi - lo)
-            f2 = objective(x2)
-    return min(f1, f2)
+            f2 = fn(x2)
+    x = 0.5 * (lo + hi)
+    return x, fn(x)
+
+
+def _golden_min(fn, lo, hi, tol):
+    x, v = _golden_max(lambda t: -fn(t), lo, hi, tol)
+    return x, -v
 
 
 # ---------------------------------------------------------------------------
@@ -364,9 +382,6 @@ class Lp:
     def norm(self, f: SampledFunction) -> float:
         return lp_norm(f, self.p)
 
-    def label(self) -> str:
-        return f"L^{self.p:g}"
-
 
 @dataclass(frozen=True, eq=False)
 class WeightedLp:
@@ -374,14 +389,10 @@ class WeightedLp:
     weight: SampledFunction
 
     def __post_init__(self):
-        if np.min(self.weight.values.real) <= 0.0:
-            raise ValueError("weight must be strictly positive at every grid point")
+        _weight_values(self.weight)
 
     def norm(self, f: SampledFunction) -> float:
         return lp_norm(f, self.p, weight=self.weight)
-
-    def label(self) -> str:
-        return f"L^{self.p:g}(w)"
 
 
 @dataclass(frozen=True, eq=False)
@@ -398,9 +409,6 @@ class Lorentz:
     def norm(self, f: SampledFunction) -> float:
         return lorentz_norm(f, self.p, self.q)
 
-    def label(self) -> str:
-        return f"L^{{{self.p:g},{self.q:g}}}"
-
 
 @dataclass(frozen=True, eq=False)
 class Orlicz:
@@ -413,6 +421,3 @@ class Orlicz:
         if self.flavor == "amemiya":
             return orlicz_amemiya_norm(f, self.phi)
         raise ValueError(f"unknown Orlicz norm flavor {self.flavor!r}")
-
-    def label(self) -> str:
-        return f"L^phi[{self.flavor}]"

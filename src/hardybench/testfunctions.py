@@ -21,14 +21,13 @@ def random_analytic_polynomial(
     grid: CircleGrid | None = None,
     decay: float = 0.5,
     min_modulus_ratio: float = 0.0,
-    max_draws: int = 100,
 ) -> FourierCoeffs:
     """Random analytic polynomial c_k ~ decay^k * CN(0,1), k = 0..degree.
 
     With min_modulus_ratio > 0 (requires a grid), draws are rejected until
-    min |f| >= ratio * max |f| on the grid.
+    min |f| >= ratio * max |f| on the grid; RuntimeError after 100 draws.
     """
-    for _ in range(max_draws):
+    for _ in range(100):
         coeffs = np.zeros(2 * degree + 1, dtype=complex)
         scale = decay ** np.arange(degree + 1)
         coeffs[degree:] = scale * (

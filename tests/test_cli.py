@@ -257,9 +257,25 @@ class TestSweepCommand:
 
 
 class TestVerifyCommand:
-    @pytest.mark.parametrize("suite", ["lorentz", "orlicz"])
+    GRIDS = {
+        "lorentz": ["-N", "256"],
+        "orlicz": ["-N", "256"],
+        "convolution": ["-N", "128"],
+        "two-sided": ["-N", "256"],
+        "monotone": ["-N", "256", "-d", "8"],
+        "outer": ["-N", "512"],
+    }
+
+    @pytest.mark.parametrize("suite", list(GRIDS))
     def test_suites_pass(self, capsys, suite):
-        code, out, _ = run_cli(["verify", suite, "-N", "256"], capsys)
+        code, out, _ = run_cli(["verify", suite, *self.GRIDS[suite]], capsys)
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert all(r["passed"] == "True" for r in rows)
+
+    @pytest.mark.parametrize("p", ["1.5", "inf"])
+    def test_monotone_on_a_coarse_grid(self, capsys, p):
+        code, out, _ = run_cli(["verify", "monotone", "-N", "64", "-d", "8", "--p", p], capsys)
         assert code == 0
         _, rows = parse_csv(out)
         assert all(r["passed"] == "True" for r in rows)
@@ -278,13 +294,10 @@ class TestVerifyCommand:
             cli.main(["verify", "nonsense"])
         assert exc.value.code == 2
 
-
-class TestOuterCheckCommand:
-    def test_passes(self, capsys):
-        code, out, _ = run_cli(["outer-check", "-N", "512"], capsys)
-        assert code == 0
-        _, rows = parse_csv(out)
-        assert all(r["passed"] == "True" for r in rows)
+    def test_outer_check_command_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["outer-check"])
+        assert exc.value.code == 2
 
 
 class TestReproducibility:

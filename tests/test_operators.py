@@ -227,6 +227,16 @@ class TestSubstitution:
         assert g.coeff(3) == 1.0
         assert all(g.coeff(k) == 0.0 for k in range(3))
 
+    @pytest.mark.parametrize("m", [1, 2, 3, 5])
+    def test_matches_coefficient_loop(self, rng, m):
+        f = random_analytic_polynomial(rng, 7)
+        g = substitute_fm(f, m)
+        expected = np.zeros(2 * m * 7 + 1, dtype=complex)
+        for k in range(8):
+            expected[m * 7 + m * k] = f.coeff(k)
+        assert g.degree == m * 7
+        assert np.array_equal(g.coeffs, expected)
+
     def test_nyquist_validation(self, grid64):
         f = random_analytic_polynomial(np.random.default_rng(0), 10)
         with pytest.raises(DegreeExceedsGridError):

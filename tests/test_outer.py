@@ -83,6 +83,11 @@ class TestOuterFunction:
         vals = np.cos(grid256.theta).astype(complex)
         with pytest.raises(ValueError):
             WeightSpec(SampledFunction(grid256, vals))
+        for bad in (np.nan, np.inf, 1.0 + 1.0j):
+            vals = np.ones(256, dtype=complex)
+            vals[7] = bad
+            with pytest.raises(ValueError):
+                WeightSpec(SampledFunction(grid256, vals))
 
 
 class TestIsometryCheck:

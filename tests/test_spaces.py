@@ -59,6 +59,14 @@ class TestLpNorm:
         w = SampledFunction(grid64, np.zeros(64, dtype=complex))
         with pytest.raises(ValueError):
             lp_norm(f, 2.0, weight=w)
+        for bad in (np.nan, np.inf, 1.0 + 1.0j):
+            values = np.ones(64, dtype=complex)
+            values[5] = bad
+            w = SampledFunction(grid64, values)
+            with pytest.raises(ValueError):
+                lp_norm(f, 2.0, weight=w)
+            with pytest.raises(ValueError):
+                WeightedLp(2.0, w)
 
 
 class TestRearrangement:
