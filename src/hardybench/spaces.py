@@ -41,7 +41,7 @@ def lp_norm(f: SampledFunction, p: float, weight: SampledFunction | None = None)
 
     The weighted norm is, by definition, the unweighted norm of f*w.
     """
-    if p != INF and p < 1.0:
+    if not (p == INF or p >= 1.0):  # NaN fails both tests
         raise ValueError(f"p must lie in [1, inf], got {p}")
     values = f.values
     if weight is not None:

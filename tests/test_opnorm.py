@@ -523,6 +523,54 @@ class TestBruteForceOracle:
     def test_dim_one(self):
         assert brute_force_oracle(np.array([[3.0 + 4.0j]]), 1.3) == 5.0
 
+    # (matrix, values at p = 1, 1.05, 1.3, 2, 4, inf) at the default resolution,
+    # computed by the per-point scan and one-seed-at-a-time refinement that the
+    # tabled scan and batched refinement replaced
+    PINNED = [
+        (
+            [[1.0 + 0.5j, -0.3 + 0.2j], [0.7 - 1.1j, 0.4 + 0.9j]],
+            [2.421874469790424, 2.34358563232807, 2.1035298015313155,
+             1.9871011293075953, 2.0162216165091107, 2.2887262612200843],
+        ),
+        (
+            [[2.0, 1.0 - 1.0j], [0.5j, -1.5 + 0.25j]],
+            [2.934904194947651, 2.8397065549469507, 2.5698154918395004,
+             2.5974667297574383, 2.896316564374877, 3.4142135623730083],
+        ),
+        (
+            [[0.9 + 0.1j, -0.4 + 0.6j, 0.3 - 0.2j],
+             [0.2 - 0.7j, 1.1, -0.5 + 0.3j],
+             [-0.6 + 0.4j, 0.1 + 0.8j, 0.7 - 0.5j]],
+            [2.627336029922654, 2.495506687744778, 2.0832124266055763,
+             1.9255779833753024, 1.988595215600069, 2.321399226184193],
+        ),
+    ]
+
+    @pytest.mark.parametrize("matrix, expected", PINNED, ids=["dim2a", "dim2b", "dim3"])
+    def test_pinned_values(self, matrix, expected):
+        for p, value in zip((1.0, 1.05, 1.3, 2.0, 4.0, INF), expected):
+            assert abs(brute_force_oracle(np.array(matrix), p) - value) <= 1e-12 * value
+
+    def test_dim3_memory(self):
+        m = np.array(self.PINNED[2][0])
+        assert _traced_peak(lambda: brute_force_oracle(m, 1.3)) < 100 * 2**20
+
+    @pytest.mark.parametrize("p", [np.nan, 0.5, -1.0])
+    def test_exponent_outside_one_to_inf_rejected(self, p):
+        with pytest.raises(ValueError):
+            brute_force_oracle(np.eye(2), p)
+
+    def test_nonfinite_entry_rejected(self):
+        m = np.eye(3, dtype=complex)
+        m[1, 2] = np.nan
+        with pytest.raises(ValueError):
+            brute_force_oracle(m, 2.0)
+
+    @pytest.mark.parametrize("resolution", [-5, 0, 2.5, True])
+    def test_resolution_must_be_positive_integer(self, resolution):
+        with pytest.raises(ValueError):
+            brute_force_oracle(np.eye(2), 2.0, resolution)
+
 
 class TestCertificates:
     def test_convolution_constant_witness(self, grid256):

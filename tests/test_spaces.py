@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from hardybench import (
     INF,
+    FourierCoeffs,
     Lorentz,
     Lp,
     Orlicz,
@@ -12,6 +13,7 @@ from hardybench import (
     WeightedLp,
     decreasing_rearrangement,
     holder_conjugate,
+    hp_norm,
     lorentz_norm,
     lp_norm,
     luxemburg_norm,
@@ -53,6 +55,23 @@ class TestLpNorm:
         f = SampledFunction(grid64, np.ones(64, dtype=complex))
         with pytest.raises(ValueError):
             lp_norm(f, 0.5)
+
+    @pytest.mark.parametrize("values", ["constant", "random"])
+    def test_nan_p_rejected(self, grid64, rng, values):
+        if values == "constant":
+            f = SampledFunction(grid64, np.ones(64, dtype=complex))
+        else:
+            f = random_samples(rng, grid64)
+        w = SampledFunction(grid64, np.full(64, 2.0 + 0j))
+        for norm in (
+            lambda: lp_norm(f, np.nan),
+            lambda: lp_norm(f, np.nan, weight=w),
+            lambda: Lp(np.nan).norm(f),
+            lambda: WeightedLp(np.nan, w).norm(f),
+            lambda: hp_norm(FourierCoeffs(2, np.arange(5.0)), np.nan, grid64),
+        ):
+            with pytest.raises(ValueError):
+                norm()
 
     def test_positive_weight_required(self, grid64):
         f = SampledFunction(grid64, np.ones(64, dtype=complex))
