@@ -495,8 +495,13 @@ def _check_usage(cfg: RunConfig) -> None:
     if cfg.starts < 0:
         raise ValueError(f"--starts must be >= 0, got {cfg.starts}")
     uses_degree = cfg.command == "sweep" or (cfg.command == "opnorm" and cfg.space == "hp")
-    if uses_degree and cfg.degree < 1:
-        raise ValueError(f"--degree must be >= 1 for analytic subspaces, got {cfg.degree}")
+    if uses_degree:
+        if cfg.degree < 1:
+            raise ValueError(f"--degree must be >= 1 for analytic subspaces, got {cfg.degree}")
+        top = 2 * cfg.degree if cfg.command == "sweep" else cfg.degree  # sweep rows need 2d
+        # the band limits of analytic_synthesis (problem2) and analytic_restriction
+        if (top >= cfg.grid_size) if cfg.problem == "problem2" else (2 * top + 1 > cfg.grid_size):
+            raise ValueError(f"degree {top} does not fit on a grid of {cfg.grid_size} points")
     reads_p = cfg.command in ("opnorm", "sweep") or cfg.suite == "monotone"
     if cfg.p and reads_p:
         ps = _parse_range(cfg.p) if cfg.command == "sweep" else [_parse_p(cfg.p)]

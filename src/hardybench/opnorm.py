@@ -2,19 +2,17 @@
 iteration for matrix p-norms, analytic-subspace ascent, and a brute-force
 oracle for small matrices.
 
-Every iterative method returns a certified lower bound: the reported value
-is always re-evaluated as ||A w|| / ||w|| at the returned witness w, so it
-can never exceed the true operator norm.  Exact formulas exist only for
-p in {1, 2, inf} on unweighted grids.
-
-One function, `_ascend`, runs every ascent from a batch of starts.  It
-alone knows which vectors an operator's norm is a plain l^p norm of: the
-grid samples, the samples conjugated by a weight, or the synthesised
-samples of analytic coefficients.  Weighted analytic operators are
-rejected there, since no ascent yet optimises their norm.  One loop,
-`_dual_ascent`, runs every power iteration; at p = 2 it is power iteration
-on A^H A.  Operators are applied only through `OperatorRep.apply` and
-`apply_adjoint`.
+Every norm is ||T A c||_p / ||T c||_p for the sample map T = diag(w) S that
+`_SampleMap` builds: S is the identity on a grid basis and synthesis onto
+the grid on an analytic one; w is the domain's weight, or 1.
+`certified_ratio` replays each witness through T, so no iterative value can
+exceed the true norm.  `_ascend` runs every ascent; a smooth one is the
+dual-vector iteration on the samples T c.  Grid starts enter it as samples,
+not through T: built from the unweighted A (column scores, top singular
+vector), they guess the extremal samples.  The exchange ascent at
+p in {1, inf} keeps the dense synthesis matrix, since its p = inf witnesses
+move with single-ulp changes in synthesis.  Operators are applied only
+through `OperatorRep.apply` and `apply_adjoint`.
 """
 
 from __future__ import annotations
@@ -92,37 +90,53 @@ def _dualize(y: np.ndarray, p: float) -> np.ndarray:
     return out
 
 
-def _weight_vector(op: OperatorRep) -> np.ndarray | None:
-    if isinstance(op.domain, WeightedLp):
-        return op.domain.weight.values.real
-    return None
+class _SampleMap:
+    """T = diag(w) S.  S is the identity on a grid basis, and on an analytic
+    one the zero-padded inverse FFT onto the grid, or the identity at p = 2
+    when unweighted (Parseval).  w is the domain's weight, or None for 1.
+    T+ = S+ diag(1/w) is a left inverse; `adjoint` is T^H / N and
+    `inverse_adjoint` N (T+)^H, whose factors cancel in (T+)^H A^H T^H.
+    """
+
+    def __init__(self, op: OperatorRep, p: float | None = None):
+        self.w = op.domain.weight.values.real if isinstance(op.domain, WeightedLp) else None
+        self.synthesises = op.basis == "analytic" and not (p == 2.0 and self.w is None)
+        self.n, self.degree = op.grid.n_points, op.degree
+
+    def synthesise(self, c):  # S c
+        return analytic_synthesis(c, self.n) if self.synthesises else c
+
+    def __call__(self, c):  # T c
+        x = self.synthesise(c)
+        return x if self.w is None else self.w * x
+
+    def inverse_adjoint(self, c):  # N (T+)^H c
+        x = self.synthesise(c)
+        return x if self.w is None else x / self.w
+
+    def inverse(self, x):  # T+ x
+        x = x if self.w is None else x / self.w
+        return analytic_analysis(x, self.degree) if self.synthesises else x
+
+    def adjoint(self, y):  # T^H y / N
+        y = y if self.w is None else y * self.w
+        return analytic_analysis(y, self.degree) if self.synthesises else y
 
 
 def certified_ratio(op: OperatorRep, witness: np.ndarray, p: float) -> float:
-    """||A w||_p / ||w||_p in the operator's own domain; always a lower bound."""
-    w = _weight_vector(op)
-    if op.basis == "analytic":
-        num = analytic_synthesis(op.apply(witness), op.grid.n_points)
-        den = analytic_synthesis(witness, op.grid.n_points)
-    else:
-        num = op.apply(witness)
-        den = witness
-    if w is not None:
-        num = num * w
-        den = den * w
-    d = _vec_lp(den, p)
+    """||T A c||_p / ||T c||_p at c = witness: the norm ratio in the
+    operator's own domain, always a lower bound."""
+    t = _SampleMap(op)
+    d = _vec_lp(t(witness), p)
     if d == 0.0:
         raise ValueError("certificate witness must be nonzero")
-    return _vec_lp(num, p) / d
+    return _vec_lp(t(op.apply(witness)), p) / d
 
 
 def lower_bound_certificate(op: OperatorRep, f: np.ndarray, p: float) -> NormEstimate:
     """Replay a witness: returns ||A f||_p / ||f||_p, a valid lower bound."""
     f = np.asarray(f, dtype=complex)
-    if not np.any(np.abs(f) > 0.0):
-        raise ValueError("certificate witness must be nonzero")
-    value = certified_ratio(op, f, p)
-    return NormEstimate(value=value, witness=f, method="certificate")
+    return NormEstimate(value=certified_ratio(op, f, p), witness=f, method="certificate")
 
 
 # ---------------------------------------------------------------------------
@@ -139,10 +153,9 @@ def exact_norm_endpoint(op: OperatorRep, p: float) -> NormEstimate:
     Every column and every row of a circulant's |A| sums to the l^1 norm of
     its first column, so column 0 and row 0 serve and no matrix is formed.
     """
-    if op.basis != "grid" or _weight_vector(op) is not None:
-        raise UnsupportedExactError(
-            "exact endpoint norms need an unweighted grid-basis operator"
-        )
+    t = _SampleMap(op)
+    if t.w is not None or t.synthesises:
+        raise UnsupportedExactError("exact endpoint norms need an unweighted grid-basis operator")
     n = op.dim
     if p == 1.0:
         idx = 0 if op.circulant else int(np.argmax(np.abs(op.matrix).sum(axis=0)))
@@ -176,8 +189,8 @@ def exact_norm_p2(op: OperatorRep, seed: int = DEFAULT_SEED) -> NormEstimate:
     `_MAX_ITER`; a dense SVD then finishes the job exactly.  A weighted
     analytic operator raises ValueError (see `_ascend`).
     """
-    w = _weight_vector(op)
-    if op.circulant and w is None:
+    t = _SampleMap(op, 2.0)
+    if op.circulant and t.w is None:
         idx = int(np.argmax(np.abs(op.multipliers)))
         witness = np.exp(2j * np.pi * idx * np.arange(op.dim) / op.dim)
         return NormEstimate(certified_ratio(op, witness, 2.0), witness, "exact_p2")
@@ -189,10 +202,8 @@ def exact_norm_p2(op: OperatorRep, seed: int = DEFAULT_SEED) -> NormEstimate:
     vals, xs, iters, ok = _ascend(op, starts, 2.0, 1e-12, _MAX_ITER)
     if ok.all():
         vec = xs[int(np.argmax(vals))]
-    elif w is None:
-        vec = np.linalg.svd(op.matrix)[2][0].conj()
-    else:
-        vec = np.linalg.svd((op.matrix * w[:, None]) / w[None, :])[2][0].conj() / w
+    else:  # the SVD of the dense T A T+, S being the identity here
+        vec = t.inverse(np.linalg.svd(t.inverse(t(op.matrix.T).T))[2][0].conj())
     return NormEstimate(
         value=certified_ratio(op, vec, 2.0),
         witness=vec,
@@ -262,60 +273,42 @@ def _ascend(op: OperatorRep, starts, p: float, tol: float, max_iter: int):
     operator's own basis) at once; 1 < p < inf on a grid basis and
     1 <= p <= inf on an analytic one.
 
-    The one place that knows which vectors the norm is a plain l^p norm
-    of.  A grid operator iterates on its samples; with a weight w on its
-    domain, on the similarity w A(x / w) and its adjoint A^H(x w) / w, so
-    the starts enter as samples and the witnesses come back divided by w.
-    An analytic operator iterates on the synthesised samples of its
-    coefficients, projecting each dual update back onto the analytic span;
-    at p = 2 Parseval lets it iterate on the coefficients themselves.  At
-    p in {1, inf} each start runs the exchange ascent and the smooth
-    companion ascent (q = 64 or 1.02, certified at p) and keeps the better.
-    A weighted analytic operator raises ValueError: none of these ascents
-    optimises its norm.
+    With T the `_SampleMap` at p, the dual-vector iteration runs on the
+    samples y = T x: it applies T A T+ and (T+)^H A^H T^H, projects each
+    dual update by T T+ when S is not the identity, starts from S x and
+    returns the witnesses T+ y.  At p in {1, inf} each start runs the
+    exchange ascent and the smooth companion ascent (q = 64 or 1.02,
+    certified at p) and keeps the better.  A weighted analytic operator
+    raises ValueError: none of these ascents optimises its norm.
 
     Returns per-start arrays: best value, witness, iterations and
     convergence; a zero start gives value 0 at itself.
     """
     x0 = np.asarray(starts, dtype=complex)
-    w = _weight_vector(op)
-    if op.basis == "analytic":
-        if w is not None:
-            raise ValueError("no ascent optimises the norm of a weighted analytic operator")
-        if p == 1.0 or p == INF:
-            _, smooth, iters, ok = _ascend(op, x0, 64.0 if p == INF else 1.02, tol, max_iter)
-            e_mat = synthesis_matrix(op.grid, op.degree)
-            results = []
-            for c0, c2 in zip(x0, smooth):
-                val, c = _subspace_exchange_ascent(op, e_mat, c0, p)
-                r2 = certified_ratio(op, c2, p) if np.any(c2 != 0) else 0.0
-                results.append((r2, c2) if r2 > val else (val, c))
-            vals, xs = zip(*results)
-            return np.array(vals), np.array(xs), iters, ok
-        if p != 2.0:
-            n, degree = op.grid.n_points, op.degree
-            vals, xs, iters, ok = _dual_ascent(
-                lambda x: analytic_synthesis(op.apply(analytic_analysis(x, degree)), n),
-                lambda y: analytic_synthesis(op.apply_adjoint(analytic_analysis(y, degree)), n),
-                analytic_synthesis(x0, n),
-                p,
-                tol,
-                max_iter,
-                project=lambda x: analytic_synthesis(analytic_analysis(x, degree), n),
-            )
-            # a copy: a view would keep the (S, N) spectrum alive in every witness
-            return vals, analytic_analysis(xs, degree).copy(), iters, ok
-    if w is None:
-        return _dual_ascent(op.apply, op.apply_adjoint, x0, p, tol, max_iter)
-    vals, xs, iters, ok = _dual_ascent(
-        lambda x: w * op.apply(x / w),
-        lambda x: op.apply_adjoint(x * w) / w,
-        x0,
+    t = _SampleMap(op, p)
+    if t.synthesises and t.w is not None:
+        raise ValueError("no ascent optimises the norm of a weighted analytic operator")
+    if t.synthesises and (p == 1.0 or p == INF):
+        _, smooth, iters, ok = _ascend(op, x0, 64.0 if p == INF else 1.02, tol, max_iter)
+        e_mat = synthesis_matrix(op.grid, op.degree)
+        results = []
+        for c0, c2 in zip(x0, smooth):
+            val, c = _subspace_exchange_ascent(op, e_mat, c0, p)
+            r2 = certified_ratio(op, c2, p) if np.any(c2 != 0) else 0.0
+            results.append((r2, c2) if r2 > val else (val, c))
+        vals, xs = zip(*results)
+        return np.array(vals), np.array(xs), iters, ok
+    vals, ys, iters, ok = _dual_ascent(
+        lambda y: t(op.apply(t.inverse(y))),
+        lambda y: t.inverse_adjoint(op.apply_adjoint(t.adjoint(y))),
+        t.synthesise(x0),
         p,
         tol,
         max_iter,
+        project=(lambda y: t(t.inverse(y))) if t.synthesises else None,
     )
-    return vals, xs / w, iters, ok
+    # a copy: a view would keep the (S, N) spectrum alive in every witness
+    return vals, t.inverse(ys).copy(), iters, ok
 
 
 def _best(op: OperatorRep, p: float, vals, xs, iters, ok) -> NormEstimate:
@@ -383,11 +376,11 @@ def power_method_pnorm(
     """Certified lower bound for ||A||_{L^p}, 1 < p < inf, by dual-vector
     power iteration with multiple deterministic and random starts.
 
-    Weighted domains are reduced to the unweighted problem through the
-    similarity transform D_w A D_w^{-1}.  Each start stops when its value
-    rises by at most 1e-10 relative, or after `_MAX_ITER` iterations.
-    Non-convergence of an individual start is not an error; the best
-    certified value found is returned with converged=False.
+    A weighted domain iterates on w A w^{-1}, the grid case of T A T+.
+    Each start stops when its value rises by at most 1e-10 relative, or
+    after `_MAX_ITER` iterations.  Non-convergence of an individual start
+    is not an error; the best certified value is returned with
+    converged=False.
     """
     if p == 1.0 or p == INF:
         raise ValueError("use exact_norm_endpoint for p in {1, inf}")

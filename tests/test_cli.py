@@ -181,6 +181,37 @@ class TestOpnormCommand:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--problem", "problem1", "-N", "1024", "-d", "256", "--p", "1.5", "--q", "2"],
+            ["sweep", "--problem", "problem1", "-N", "64", "-d", "16", "--p", "2", "--q", "0"],
+            ["sweep", "--problem", "problem2", "-N", "64", "-d", "40", "--p", "3"],
+            ["sweep", "--problem", "problem2", "-N", "64", "-d", "32", "--p", "2"],
+            ["opnorm", "--kernel", "fejer:1", "--space", "hp", "-N", "64", "-d", "32", "--p", "2"],
+        ],
+    )
+    def test_degree_beyond_grid_rejected_before_any_grid(self, capsys, monkeypatch, argv):
+        def no_grid(n_points):
+            raise AssertionError("a grid was built for a degree that does not fit")
+
+        monkeypatch.setattr(cli, "make_grid", no_grid)
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: degree ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--problem", "problem1", "-N", "64", "-d", "15", "--p", "2", "--q", "0"],
+            ["sweep", "--problem", "problem2", "-N", "64", "-d", "31", "--p", "2"],
+            ["opnorm", "--kernel", "fejer:1", "--space", "hp", "-N", "64", "-d", "31", "--p", "2"],
+        ],
+    )
+    def test_largest_degree_that_fits_runs(self, capsys, argv):
+        assert run_cli(argv, capsys)[0] == 0
+
     def test_no_convergence_exits_one(self, capsys, monkeypatch):
         from hardybench.errors import NoConvergenceError
 

@@ -19,6 +19,7 @@ from hardybench import (
     identity_minus,
     identity_operator,
     lower_bound_certificate,
+    lp_norm,
     make_grid,
     operator_norm,
     power_method_pnorm,
@@ -38,6 +39,7 @@ from hardybench.operators import (
 from hardybench.opnorm import (
     DEFAULT_SEED,
     _ascend,
+    _SampleMap,
     _coeff_starts,
     _dual_ascent,
     _dualize,
@@ -470,6 +472,34 @@ class TestWeightedAnalytic:
         else:
             ref = (np.sum(np.abs(num) ** p) / np.sum(np.abs(den) ** p)) ** (1.0 / p)
         assert abs(lower_bound_certificate(op, c, p).value - ref) <= 1e-13 * ref
+
+
+class TestSampleMap:
+    @pytest.mark.parametrize("basis", ["grid", "analytic"])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_certified_ratio_matches_weighted_lp_norm_of_samples(
+        self, grid256, rng, basis, weighted
+    ):
+        # the reference synthesises by the dense matrix and weights through lp_norm
+        weight, domain = None, None
+        if weighted:
+            weight = SampledFunction(grid256, np.exp(np.cos(grid256.theta)).astype(complex))
+            domain = WeightedLp(1.5, weight)
+        op = identity_minus(convolution_operator(KernelSpec.fejer(2), grid256, domain=domain))
+        if basis == "analytic":
+            op = analytic_restriction(op, 12)
+        e = synthesis_matrix(grid256, 12) if basis == "analytic" else np.eye(256)
+        c = rng.standard_normal(op.dim) + 1j * rng.standard_normal(op.dim)
+        for p in (1.0, 1.5, 2.0, 4.0, INF):
+            num = lp_norm(SampledFunction(grid256, e @ (op.matrix @ c)), p, weight=weight)
+            den = lp_norm(SampledFunction(grid256, e @ c), p, weight=weight)
+            assert abs(certified_ratio(op, c, p) - num / den) <= 1e-12 * num / den
+        t = _SampleMap(op)
+        assert np.max(np.abs(t.inverse(t(c)) - c)) <= 1e-13 * np.max(np.abs(c))
+        if basis == "analytic":  # T T+ is a projection onto the range of T
+            y = rng.standard_normal(256) + 1j * rng.standard_normal(256)
+            proj = t(t.inverse(y))
+            assert np.max(np.abs(t(t.inverse(proj)) - proj)) <= 1e-13 * np.max(np.abs(proj))
 
 
 class TestDualize:
