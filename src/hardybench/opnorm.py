@@ -12,7 +12,11 @@ not through T: built from the unweighted A (column scores, top singular
 vector), they guess the extremal samples.  The exchange ascent at
 p in {1, inf} keeps the dense synthesis matrix, since its p = inf witnesses
 move with single-ulp changes in synthesis.  Operators are applied only
-through `OperatorRep.apply` and `apply_adjoint`.
+through `OperatorRep.apply` and `apply_adjoint`, and the grid power method
+reads no dense matrix of a circulant: its column scores are summed row by
+row, so it needs O(N) memory.  Each step of the iteration takes one modulus
+and one power per duality map (`_dual_map`), and the norms come from the
+same sums.
 """
 
 from __future__ import annotations
@@ -73,21 +77,30 @@ def _vec_lp(v: np.ndarray, p: float) -> float:
     return float(_row_lp(v, p))
 
 
-def _dualize(y: np.ndarray, p: float) -> np.ndarray:
-    """Complex duality map sign(y)|y|^{p-1}, elementwise, with 0 -> 0.
+def _dual_map(y: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
+    """The complex duality map sign(y)|y|^{p-1}, elementwise with 0 -> 0,
+    and the sums of |y|^p along the last axis, from one modulus a = |y| and
+    one power m = a^{p-1}.
 
-    The sign of a subnormal entry is taken after an exact power-of-two
-    scaling, since complex division by a subnormal modulus overflows.
+    The dual is (y * (1/a)) * m, which equals y / a * m bit for bit; the
+    sums are those of a m.  The sign of a subnormal entry is taken after an
+    exact power-of-two scaling, since 1/a overflows there.
     """
     a = np.abs(y)
+    m = a ** (p - 1.0)
     normal = a >= _TINY
-    out = np.divide(y, a, out=np.zeros_like(y, dtype=complex), where=normal)
+    out = y * np.divide(1.0, a, out=np.zeros_like(a), where=normal)
+    out *= m
     tiny = (a > 0.0) & ~normal
     if tiny.any():
         scaled = y[tiny] * 2.0**600
-        out[tiny] = scaled / np.abs(scaled)
-    out *= a ** (p - 1.0)
-    return out
+        out[tiny] = scaled / np.abs(scaled) * m[tiny]
+    return out, np.sum(a * m, axis=-1)
+
+
+def _dualize(y: np.ndarray, p: float) -> np.ndarray:
+    """Complex duality map sign(y)|y|^{p-1}, elementwise, with 0 -> 0."""
+    return _dual_map(y, p)[0]
 
 
 class _SampleMap:
@@ -224,6 +237,11 @@ def _dual_ascent(apply_rows, adjoint_rows, x0, p, tol, max_iter, project=None):
     subspace the iteration is confined to.  At p = 2 it is power iteration
     on A^H A.
 
+    A step y = A x, z = A^H dual_p(y), x' = dual_p'(z) / ||.||_p calls
+    `_dual_map` twice and takes ||y||_p from the first call's sums.  Without
+    a projection ||x'||_p comes from the second call's sums too, since
+    sum |dual_p'(z)|^p = sum |z|^p'; a projected update is measured anew.
+
     Each row keeps its own stop rule and best iterate, and leaves the batch
     when it stops.  Returns per-row arrays: best value, best iterate,
     iterations and convergence; a zero start gives value 0 at itself.
@@ -243,8 +261,8 @@ def _dual_ascent(apply_rows, adjoint_rows, x0, p, tol, max_iter, project=None):
     for it in range(max_iter):
         if rows.size == 0:
             break
-        y = apply_rows(x)
-        val = _row_lp(y, p)
+        dy, val = _dual_map(apply_rows(x), p)
+        val **= 1.0 / p
         up = val > best_val[rows]
         best_val[rows[up]] = val[up]
         best_x[rows[up]] = x[up]
@@ -252,17 +270,19 @@ def _dual_ascent(apply_rows, adjoint_rows, x0, p, tol, max_iter, project=None):
         if stop.any():
             iters[rows[stop]] = it + 1
             keep = ~stop
-            rows, y, val = rows[keep], y[keep], val[keep]
+            rows, dy, val = rows[keep], dy[keep], val[keep]
         prev = val
-        xn = _dualize(adjoint_rows(_dualize(y, p)), pprime)
-        if project is not None:
+        xn, nn = _dual_map(adjoint_rows(dy), pprime)
+        if project is None:
+            nn **= 1.0 / p
+        else:
             xn = project(xn)
-        nn = _row_lp(xn, p)
+            nn = _row_lp(xn, p)
         if np.any(nn == 0.0):
             iters[rows[nn == 0.0]] = it + 1
             keep = nn != 0.0
             rows, prev, xn, nn = rows[keep], prev[keep], xn[keep], nn[keep]
-        x = xn / nn[:, None]
+        x = xn * (1.0 / nn)[:, None]
     iters[rows] = max_iter
     converged[rows] = False
     return best_val, best_x, iters, converged
@@ -354,11 +374,40 @@ def _two_level_starts(n: int) -> list[np.ndarray]:
     return starts
 
 
+def _column_scores(op: OperatorRep) -> tuple[np.ndarray, np.ndarray]:
+    """The column sums of |A| and of |A|^2, added up one row at a time.
+
+    Row i of a circulant's |A| is row 0 rolled by i, taken from a doubled
+    copy of row 0, so no N x N array is formed.  Rows are added in order,
+    as np.sum(axis=0) adds them, so the sums equal those of the dense |A|
+    bit for bit.
+    """
+    n = op.dim
+    if op.circulant:
+        r0 = np.abs(op.column[-np.arange(n) % n])  # A[0][l] = column[-l mod N]
+        doubled = np.concatenate([r0, r0])
+        rows = (doubled[n - i : 2 * n - i] for i in range(n))  # np.roll(r0, i)
+    else:
+        rows = (np.abs(row) for row in op.matrix)
+    s1, s2 = np.zeros(n), np.zeros(n)
+    for r in rows:
+        s1 += r
+        s2 += r**2
+    return s1, s2
+
+
 def _grid_starts(op: OperatorRep, n_random: int, seed: int) -> list[np.ndarray]:
+    """The all-ones vector, a spike at the largest column sum of |A| and of
+    |A|^2, the top-singular-vector start, the two-level arcs and `n_random`
+    random vectors, in O(N) memory besides a dense operator's own matrix.
+
+    `_column_scores` adds the rows in the dense sum's order: a circulant's
+    column sums tie in exact arithmetic, so roundoff picks the spikes, and
+    another order would pick other spikes.
+    """
     n = op.dim
     starts = [np.ones(n, dtype=complex)]
-    a = np.abs(op.matrix)
-    for col_score in (a.sum(axis=0), (a**2).sum(axis=0)):
+    for col_score in _column_scores(op):
         spike = np.zeros(n, dtype=complex)
         spike[int(np.argmax(col_score))] = 1.0
         starts.append(spike)
@@ -380,13 +429,15 @@ def power_method_pnorm(
     Each start stops when its value rises by at most 1e-10 relative, or
     after `_MAX_ITER` iterations.  Non-convergence of an individual start
     is not an error; the best certified value is returned with
-    converged=False.
+    converged=False.  A circulant's finiteness is checked on its column and
+    multipliers, and its dense matrix is never formed.
     """
     if p == 1.0 or p == INF:
         raise ValueError("use exact_norm_endpoint for p in {1, inf}")
     if not 1.0 < p < INF:
         raise ValueError(f"power method needs 1 < p < inf, got {p}")
-    if not np.all(np.isfinite(op.matrix)):
+    entries = (op.column, op.multipliers) if op.circulant else (op.matrix,)
+    if not all(np.all(np.isfinite(e)) for e in entries):
         raise ValueError("operator matrix contains non-finite entries")
     if op.basis != "grid":
         raise ValueError("power_method_pnorm expects a grid-basis operator")
