@@ -157,12 +157,13 @@ def cmd_constants(cfg: RunConfig) -> tuple[list[dict], list[dict]]:
             raise ValueError(f"q must lie in [1, inf], got {q!r}")
     rows = []
     for p in sorted(ps):
+        c_p, upper = franchetti_cp(p).value, interpolation_upper(p)
         for q in sorted(qs, key=lambda v: (v is None, v)):
             row = {
                 "p": p,
                 "q": q,
-                "franchetti_cp": franchetti_cp(p).value,
-                "interpolation_upper": interpolation_upper(p),
+                "franchetti_cp": c_p,
+                "interpolation_upper": upper,
                 "gamma_pq": None,
                 "cpq": None,
                 "lambda_pq": None,

@@ -85,7 +85,9 @@ def gamma_pq(p: float, q: float) -> ConstantReport:
 
     The inner minimum g(gamma) is strictly convex in x (golden section);
     g is continuous and increasing in gamma, so the outer equation
-    g(gamma) = 1 is solved by bisection on [1, 2].
+    g(gamma) = 1 is solved by bisection on [1, 2].  That bracket holds for
+    all 1 < p, q: g(1) < 1, since x^p + (1-x)^q < x + (1-x) inside (0, 1),
+    and g(2) >= 1, since one of x and 2 - x is at least 1.
     """
     if not (1.0 < p < INF and 1.0 < q < INF):
         raise ValueError(f"gamma_pq needs 1 < p, q < inf, got p={p}, q={q}")
@@ -96,15 +98,6 @@ def gamma_pq(p: float, q: float) -> ConstantReport:
         return val
 
     lo, hi = 1.0, 2.0
-    # defensive bracket expansion; [1, 2] is sufficient for all 1 < p, q
-    for _ in range(60):
-        if inner_min(lo) <= 1.0:
-            break
-        lo *= 0.5
-    for _ in range(60):
-        if inner_min(hi) >= 1.0:
-            break
-        hi *= 2.0
     while hi - lo > 1e-11:
         mid = 0.5 * (lo + hi)
         if inner_min(mid) < 1.0:

@@ -45,7 +45,7 @@ from hardybench.opnorm import (
     _coeff_starts,
     _column_scores,
     _dual_ascent,
-    _dualize,
+    _dual_map,
     _grid_starts,
     _row_lp,
     _subspace_exchange_ascent,
@@ -371,6 +371,19 @@ class TestBatchedPowerAscent:
         assert np.array_equal(capped_ok, iters <= cap)
         assert np.array_equal(capped_iters, np.minimum(iters, cap))
 
+    @pytest.mark.parametrize("p", [1.02, 1.5, 3.0])
+    def test_tiny_and_huge_starts_are_scaled(self, grid64, p):
+        # the l^p norm of these spikes underflows, is subnormal or overflows
+        (fwd, adj), starts = _power_starts(1, grid64)
+        spike = starts[1][None, :]
+        ref = _dual_ascent(fwd, adj, spike, p, 1e-10, 10_000)[0][0]
+        for scale in (1e-310, 1e-200, 1e200):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                vals, xs, _, ok = _dual_ascent(fwd, adj, scale * spike, p, 1e-10, 10_000)
+            assert abs(vals[0] - ref) <= 1e-12 * ref and ok[0]
+            assert np.all(np.isfinite(xs))
+
     def test_weighted_fft_matches_dense_similarity(self, grid64, rng):
         op, d, sim = _weighted_circulant(grid64, rng, 1.5)
         x = rng.standard_normal((3, 64)) + 1j * rng.standard_normal((3, 64))
@@ -434,7 +447,7 @@ def _reference_dual_ascent(apply_rows, adjoint_rows, x0, p, tol, max_iter, proje
             iters[rows[stop]] = it + 1
             rows, y, val = rows[~stop], y[~stop], val[~stop]
         prev = val
-        xn = _dualize(adjoint_rows(_dualize(y, p)), pprime)
+        xn = _dual_map(adjoint_rows(_dual_map(y, p)[0]), pprime)[0]
         if project is not None:
             xn = project(xn)
         nn = _row_lp(xn, p)
@@ -575,19 +588,55 @@ class TestBatchedSubspaceAscent:
         assert np.array_equal(capped_iters, np.minimum(iters, cap))
 
     @pytest.mark.parametrize("p", [1.0, INF])
-    def test_endpoint_rows_keep_the_better_ascent(self, grid256, p):
+    def test_endpoint_rows_are_certified_companion_rows(self, grid256, p):
         op, starts = _restricted_starts(1, 12, grid256)
-        vals, cs, iters, ok = _ascend(op, starts, p, 1e-10, 10_000)
+        batch = np.insert(starts, 2, 0.0, axis=0)
+        vals, cs, iters, ok = _ascend(op, batch, p, 1e-10, 10_000)
         q = 64.0 if p == INF else 1.02
-        _, smooth, smooth_iters, smooth_ok = _ascend(op, starts, q, 1e-10, 10_000)
+        _, smooth, smooth_iters, smooth_ok = _ascend(op, batch, q, 1e-10, 10_000)
         assert np.array_equal(iters, smooth_iters) and np.array_equal(ok, smooth_ok)
+        assert vals[2] == 0.0 and not np.any(cs[2])
+        smooth_vals = np.array([certified_ratio(op, c, p) if np.any(c) else 0.0 for c in smooth])
+        win = int(np.argmax(smooth_vals))
+        others = np.arange(batch.shape[0]) != win
+        assert np.array_equal(vals[others], smooth_vals[others])
+        assert np.array_equal(cs[others], smooth[others])
+        # only the p = inf winner may be replaced, by a polish that
+        # certifies strictly higher
+        assert vals[win] == certified_ratio(op, cs[win], p)
+        if p == 1.0 or vals[win] == smooth_vals[win]:
+            assert vals[win] == smooth_vals[win] and np.array_equal(cs[win], smooth[win])
+        else:
+            assert vals[win] > smooth_vals[win]
+
+    def test_zero_starts_at_infinity(self, grid256):
+        op = backward_shift(8, grid256)
+        vals, cs, _, ok = _ascend(op, np.zeros((2, 9), dtype=complex), INF, 1e-10, 10_000)
+        assert not np.any(vals) and not np.any(cs) and ok.all()
+
+    def test_p1_builds_no_synthesis_matrix(self, grid256, monkeypatch):
+        def no_matrix(*args, **kwargs):
+            raise AssertionError("synthesis_matrix was called")
+
+        monkeypatch.setattr("hardybench.opnorm.synthesis_matrix", no_matrix)
+        for n in (0, 1):
+            est = fejer_hp_estimate(n, 1.0, 8, grid256, starts=2)
+            op = analytic_restriction(fejer_difference_operator(n, grid256), 8)
+            assert est.value == certified_ratio(op, est.witness, 1.0)
+
+    @pytest.mark.parametrize("operator", ["shift", "fejer0", "fejer1"])
+    def test_pinf_estimate_dominates_per_start_exchange(self, grid256, operator):
+        if operator == "shift":
+            op = backward_shift(8, grid256)
+        else:
+            op = analytic_restriction(fejer_difference_operator(int(operator[-1]), grid256), 8)
+        est = subspace_norm(op, INF, starts=4)
         e_mat = synthesis_matrix(grid256, op.degree)
-        for i, c0 in enumerate(starts):
-            val, c = _subspace_exchange_ascent(op, e_mat, c0, p)
-            smooth_val = certified_ratio(op, smooth[i], p)
-            want_val, want_c = (smooth_val, smooth[i]) if smooth_val > val else (val, c)
-            assert vals[i] == want_val
-            assert np.array_equal(cs[i], want_c)
+        exchange = max(
+            certified_ratio(op, _subspace_exchange_ascent(op, e_mat, c0), INF)
+            for c0 in _coeff_starts(op, 4, DEFAULT_SEED)
+        )
+        assert est.value >= exchange * (1.0 - 1e-15)
 
     @pytest.mark.parametrize("n_pts", [64, 65])
     def test_fft_matches_synthesis_matrix(self, n_pts, rng):
@@ -687,7 +736,7 @@ class TestDualize:
     def test_subnormal_entries_are_finite(self, p):
         # complex division by a subnormal modulus overflows to nan
         y = np.array([4e-320 + 3e-320j, 1.5 - 2.0j, 0.0, -3e-310j, -2e-308, 1e-300 + 1e-300j])
-        out = _dualize(y, p)
+        out = _dual_map(y, p)[0]
         assert np.all(np.isfinite(out))
         a = np.abs(y)
         normal = a >= np.finfo(float).tiny
