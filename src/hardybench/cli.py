@@ -79,6 +79,8 @@ def _parse_range(text: str) -> list[float]:
     """'lo:hi:step' inclusive sweep, or a comma list, or a single value."""
     if ":" in text:
         lo, hi, step = (float(t) for t in text.split(":"))
+        if not all(math.isfinite(v) for v in (lo, hi, step)) or step <= 0.0 or hi < lo:
+            raise ValueError(f"range {text!r} needs finite lo <= hi and step > 0")
         n = int(round((hi - lo) / step))
         # rounding keeps float drift (1.4000000000000001) out of the tables
         return [round(lo + i * step, 12) for i in range(n + 1) if lo + i * step <= hi + 1e-12]

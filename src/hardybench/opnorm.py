@@ -41,7 +41,7 @@ DEFAULT_SEED = 0x4841524459  # ascii bytes of "HARDY"; reproducible tables
 
 _MAX_ITER = 10_000
 _TINY = np.finfo(float).tiny  # the smallest normal double
-_ORACLE_CHUNK_ROWS = 1 << 16  # coarse-scan rows per chunk; 4x larger chunks ran 1.5x slower
+_ORACLE_CHUNK_ROWS = 1 << 16  # coarse-scan rows per chunk; 1/4x to 4x of it ran within 15 % (dim 3)
 
 
 @dataclass
@@ -195,8 +195,9 @@ def exact_norm_p2(op: OperatorRep, seed: int = DEFAULT_SEED) -> NormEstimate:
     on the normal operator A^H A, run as one batch from the all-ones start
     and 4 random starts.  A clustered spectral top keeps some start from
     meeting the increment test (1e-12 relative) within the iteration cap
-    `_MAX_ITER`; a dense SVD then finishes the job exactly.  A weighted
-    analytic operator raises ValueError (see `_ascend`).
+    `_MAX_ITER`; a dense SVD then finishes the job exactly.  Otherwise the
+    first start within 1e-12 of the largest value gives the witness.  A
+    weighted analytic operator raises ValueError (see `_ascend`).
     """
     t = _SampleMap(op, 2.0)
     if op.circulant and t.w is None:
@@ -210,7 +211,7 @@ def exact_norm_p2(op: OperatorRep, seed: int = DEFAULT_SEED) -> NormEstimate:
         starts.append(rng.standard_normal(n) + 1j * rng.standard_normal(n))
     vals, xs, iters, ok = _ascend(op, starts, 2.0, 1e-12, _MAX_ITER)
     if ok.all():
-        vec = xs[int(np.argmax(vals))]
+        vec = xs[_first_best(vals)]
     else:  # the SVD of the dense T A T+, S being the identity here
         vec = t.inverse(np.linalg.svd(t.inverse(t(op.matrix.T).T))[2][0].conj())
     return NormEstimate(
@@ -338,10 +339,17 @@ def _ascend(op: OperatorRep, starts, p: float, tol: float, max_iter: int):
     return vals, t.inverse(ys).copy(), iters, ok
 
 
+def _first_best(vals: np.ndarray) -> int:
+    """The first start whose value is within 1e-12 relative of the largest:
+    starts that tie up to roundoff are told apart by their order, not by
+    their last bits."""
+    return int(np.argmax(vals >= vals.max() * (1.0 - 1e-12)))
+
+
 def _best(op: OperatorRep, p: float, vals, xs, iters, ok) -> NormEstimate:
-    """The estimate of the first start with the largest value, replayed at
-    its witness."""
-    witness = xs[int(np.argmax(vals))].copy()
+    """The estimate of the first start within 1e-12 of the largest value,
+    replayed at its witness."""
+    witness = xs[_first_best(vals)].copy()
     return NormEstimate(
         value=certified_ratio(op, witness, p),
         witness=witness,
@@ -586,6 +594,73 @@ def operator_norm(
 # ---------------------------------------------------------------------------
 
 
+def _oracle_scan(a: np.ndarray, m_table: np.ndarray, e_table: np.ndarray, p: float):
+    """The oracle's coarse scan: ||A x||_p / ||x||_p at x = m (1, e) for each
+    row m of `m_table` (moduli) and each row e of `e_table` (phase factors),
+    the phase rows varying fastest.  Since |e| = 1, ||x||_p = ||m||_p, tabled
+    once per row of `m_table`.  With E holding the rows (1, e), output row i
+    of A x is (m . a_i) @ E^T; the |.|^p of these are added over i (the max
+    is taken at p = inf), chunk by chunk, so no array of all the scan's
+    points is built."""
+    dim = a.shape[0]
+    e_full = np.hstack([np.ones((len(e_table), 1)), e_table]).T  # E^T
+    n_ph = e_full.shape[1]
+    if p == INF:
+        m_norms = m_table.max(axis=1)
+    else:
+        m_norms = reduce(np.add, (m_table**p).T) ** (1.0 / p)
+    vals = np.empty(len(m_table) * n_ph)
+    per_chunk = max(1, _ORACLE_CHUNK_ROWS // n_ph)
+    for lo in range(0, len(m_table), per_chunk):
+        m = m_table[lo : lo + per_chunk]
+        out = vals[lo * n_ph : (lo + len(m)) * n_ph].reshape(len(m), n_ph)
+        for i in range(dim):
+            t = np.abs((m * a[i]) @ e_full)
+            if p != INF:
+                t **= p
+            if i == 0:
+                out[:] = t
+            elif p == INF:
+                np.maximum(out, t, out=out)
+            else:
+                out += t
+        if p != INF:
+            out **= 1.0 / p
+        out /= m_norms[lo : lo + len(m), None]
+    return vals
+
+
+def _ranked_top(vals: np.ndarray, k: int) -> np.ndarray:
+    """The indices of the k largest values, and of every value tied with the
+    k-th, by value descending and then index ascending: a prefix of
+    np.argsort(-vals, kind="stable"), found by a partial selection."""
+    k = min(k, vals.size)
+    cut = np.partition(vals, vals.size - k)[vals.size - k]
+    top = np.flatnonzero(vals >= cut)
+    return top[np.argsort(-vals[top], kind="stable")]
+
+
+def _oracle_seeds(vals: np.ndarray, points, n_seeds: int, min_sep: float) -> np.ndarray:
+    """Walk down the ranking of `vals` and take each index whose point
+    (`points(indices)` gives their rows) lies at least `min_sep` away, in the
+    max norm, from every index taken before, until `n_seeds` are taken.  The
+    walk runs on the top 4096 values, widened fourfold while it yields too
+    few seeds, up to the whole scan."""
+    k = 4096
+    while True:
+        ranked = _ranked_top(vals, k)
+        pts = points(ranked)
+        free = np.ones(len(ranked), dtype=bool)
+        taken = []
+        while len(taken) < n_seeds and free.any():
+            j = int(np.argmax(free))  # the first candidate still far enough
+            taken.append(j)
+            free &= np.abs(pts - pts[j]).max(axis=1) >= min_sep
+        if len(taken) == n_seeds or k >= vals.size:
+            return ranked[taken]
+        k *= 4
+
+
 def brute_force_oracle(matrix: np.ndarray, p: float, resolution: int | None = None) -> float:
     """Max of ||Ax||_p over a dense sampling of the unit p-sphere, dim <= 3.
 
@@ -593,17 +668,19 @@ def brute_force_oracle(matrix: np.ndarray, p: float, resolution: int | None = No
     phase per coordinate after fixing the global phase).  The coarse scan
     pairs every simplex point with every phase point, the phases varying
     fastest.  The moduli s^{1/p} are tabled once per simplex point and the
-    factors e^{i phi} once per phase point; the scan's values are filled
-    chunk by chunk from the two tables, so no array of all the points'
-    parameters is built.  Several well-separated coarse maxima seed a
-    compass search, which removes most of the O(h^2) grid bias; the coarse
-    pass alone is accurate to O(1/resolution).  All seeds climb as one
-    batch, each with its own step, and so do the trials that re-grow a
-    coordinate pinned at zero.  Each trial's starting value is still
-    evaluated as a one-row product: that takes another BLAS path than a
-    batch, and batching these starts moved one tested value by 7e-9
-    relative.  The oracle shares no code with the dual-vector ascent it
-    checks.
+    factors e^{i phi} once per phase point; `_oracle_scan` forms the scan
+    from the two tables one output row of A at a time, chunk by chunk, and
+    divides by ||x||_p tabled per simplex point.  Several well-separated
+    coarse maxima seed a compass search, which removes most of the O(h^2)
+    grid bias; the coarse pass alone is accurate to O(1/resolution).  The
+    seeds are ranked by value and then by scan index, found by a partial
+    selection (`_oracle_seeds`), so ties do not leave their choice to the
+    sort.  All seeds climb as one batch, each with its own step, and so do
+    the trials that re-grow a coordinate pinned at zero.  Each trial's
+    starting value is still evaluated as a one-row product: that takes
+    another BLAS path than a batch, and batching these starts moved one
+    tested value by 7e-9 relative.  The oracle shares no code with the
+    dual-vector ascent it checks.
     """
     if not (p == INF or p >= 1.0):
         raise ValueError(f"p must lie in [1, inf], got {p}")
@@ -712,32 +789,17 @@ def brute_force_oracle(matrix: np.ndarray, p: float, resolution: int | None = No
                 val = float(v2)
         return val
 
-    # coarse scan, chunk by chunk: every simplex point paired with every
-    # phase point, the phases varying fastest
-    m_table = moduli(simplex)
-    e_table = np.exp(1j * phases)
-    vals = np.empty(len(simplex) * n_ph)
-    per_chunk = max(1, _ORACLE_CHUNK_ROWS // n_ph)
-    for lo in range(0, len(simplex), per_chunk):
-        m = m_table[lo : lo + per_chunk]
-        vals[lo * n_ph : (lo + len(m)) * n_ph] = ratios(
-            np.repeat(m, n_ph, axis=0), np.tile(e_table, (len(m), 1))
-        )
+    # coarse scan, every simplex point paired with every phase point, the
+    # phases varying fastest; refine several well-separated coarse
+    # candidates (one per basin)
+    def points(idx):  # the parameters of scan rows idx
+        return np.hstack([simplex[idx // n_ph], phases[idx % n_ph]])
 
-    # refine several well-separated coarse candidates (one per basin)
-    n_seeds = 6 if dim == 2 else 16
-    min_sep = 3.0 * (2.0 / k)
-    seeds: list[int] = []
-    starts: list[np.ndarray] = []
-    for idx in np.argsort(-vals):
-        if len(seeds) >= n_seeds:
-            break
-        prm = np.concatenate([simplex[idx // n_ph], phases[idx % n_ph]])
-        if all(np.max(np.abs(prm - q)) >= min_sep for q in starts):
-            seeds.append(int(idx))
-            starts.append(prm)
+    vals = _oracle_scan(a, moduli(simplex), np.exp(1j * phases), p)
+    seeds = _oracle_seeds(vals, points, 6 if dim == 2 else 16, 3.0 * (2.0 / k))
+    starts = points(seeds)
     best_val, best_prm = -1.0, starts[0]
-    for val, prm in zip(*compass(np.array(starts), vals[seeds])):
+    for val, prm in zip(*compass(starts, vals[seeds])):
         if val > best_val:
             best_val, best_prm = float(val), prm
     return phase_escape(best_prm, best_val)

@@ -212,6 +212,17 @@ class TestOpnormCommand:
     def test_largest_degree_that_fits_runs(self, capsys, argv):
         assert run_cli(argv, capsys)[0] == 0
 
+    @pytest.mark.parametrize("p_range", ["1:2:0", "3:1:1", "1:2:-0.5", "1:inf:0.5", "1:nan:0.5"])
+    def test_bad_range_is_usage_error(self, capsys, monkeypatch, p_range):
+        def no_compute(p):
+            raise AssertionError("a constant was computed for an invalid range")
+
+        monkeypatch.setattr(cli, "franchetti_cp", no_compute)
+        code, out, err = run_cli(["constants", "--p", p_range, "--q", "2"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_no_convergence_exits_one(self, capsys, monkeypatch):
         from hardybench.errors import NoConvergenceError
 

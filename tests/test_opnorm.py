@@ -1,5 +1,7 @@
 import tracemalloc
 import warnings
+from functools import reduce
+from itertools import product
 
 import numpy as np
 import pytest
@@ -31,7 +33,7 @@ from hardybench.errors import (
     OracleTooLargeError,
     UnsupportedExactError,
 )
-from hardybench import operators
+from hardybench import operators, opnorm
 from hardybench.operators import (
     OperatorRep,
     analytic_analysis,
@@ -47,11 +49,15 @@ from hardybench.opnorm import (
     _dual_ascent,
     _dual_map,
     _grid_starts,
+    _oracle_scan,
+    _oracle_seeds,
+    _ranked_top,
     _row_lp,
     _subspace_exchange_ascent,
     certified_ratio,
 )
 from hardybench.problems import (
+    backward_shift_estimate,
     fejer_difference_operator,
     fejer_hp_estimate,
     fejer_lp_estimate,
@@ -784,7 +790,9 @@ class TestBruteForceOracle:
 
     # (matrix, values at p = 1, 1.05, 1.3, 2, 4, inf) at the default resolution,
     # computed by the per-point scan and one-seed-at-a-time refinement that the
-    # tabled scan and batched refinement replaced
+    # tabled scan and batched refinement replaced.  One entry moved when the
+    # scan was built per output row and the seeds were ranked by value, then
+    # index: dim2b at p = 1.05 rose from 2.8397065549469507 to 2.839708051669667
     PINNED = [
         (
             [[1.0 + 0.5j, -0.3 + 0.2j], [0.7 - 1.1j, 0.4 + 0.9j]],
@@ -793,7 +801,7 @@ class TestBruteForceOracle:
         ),
         (
             [[2.0, 1.0 - 1.0j], [0.5j, -1.5 + 0.25j]],
-            [2.934904194947651, 2.8397065549469507, 2.5698154918395004,
+            [2.934904194947651, 2.839708051669667, 2.5698154918395004,
              2.5974667297574383, 2.896316564374877, 3.4142135623730083],
         ),
         (
@@ -829,6 +837,113 @@ class TestBruteForceOracle:
     def test_resolution_must_be_positive_integer(self, resolution):
         with pytest.raises(ValueError):
             brute_force_oracle(np.eye(2), 2.0, resolution)
+
+
+def oracle_tables(dim, p, k):
+    """The oracle's coarse tables at k points per axis: simplex weights, the
+    moduli s^{1/p} (max-scaled at p = inf) and the phase factors."""
+    simplex = np.array(list(product(np.linspace(0.0, 1.0, k), repeat=dim - 1)))
+    simplex = simplex[simplex.sum(axis=1) <= 1.0 + 1e-12]
+    s = np.hstack([simplex, np.clip(1.0 - simplex.sum(axis=1, keepdims=True), 0.0, None)])
+    m = s / s.max(axis=1, keepdims=True) if p == INF else s ** (1.0 / p)
+    phases = np.array(list(product(np.linspace(0.0, 2.0 * np.pi, k, endpoint=False), repeat=dim - 1)))
+    return simplex, phases, m, np.exp(1j * phases)
+
+
+def materialised_scan(a, m_table, e_table, p):
+    """The scan with every point's row x = m (1, e) built: the chunk code
+    that `_oracle_scan` replaced, in one chunk."""
+
+    def row_norms(v):
+        v = np.abs(v)
+        if p == INF:
+            return reduce(np.maximum, v.T)
+        return reduce(np.add, (v**p).T) ** (1.0 / p)
+
+    x = np.repeat(m_table, len(e_table), axis=0).astype(complex)
+    x[:, 1:] *= np.tile(e_table, (len(m_table), 1))
+    return row_norms(x @ a.T) / np.maximum(row_norms(x), 1e-300)
+
+
+def reference_seeds(vals, points, n_seeds, min_sep):
+    """The greedy walk down the full stable ranking, one candidate at a time."""
+    seeds, taken = [], []
+    for idx in np.argsort(-vals, kind="stable"):
+        if len(seeds) >= n_seeds:
+            break
+        prm = points(np.array([idx]))[0]
+        if all(np.max(np.abs(prm - q)) >= min_sep for q in taken):
+            seeds.append(int(idx))
+            taken.append(prm)
+    return seeds
+
+
+class TestOracleScanAndSeeds:
+    @pytest.mark.parametrize("p", [1.0, 1.3, 4.0, INF])
+    @pytest.mark.parametrize("dim, k", [(2, 60), (3, 14)])
+    def test_scan_matches_materialised_rows(self, rng, monkeypatch, dim, k, p):
+        a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        _, _, m, e = oracle_tables(dim, p, k)
+        # chunks of 7 or 2 simplex points, the last one partial
+        monkeypatch.setattr(opnorm, "_ORACLE_CHUNK_ROWS", 7 * len(e))
+        vals = _oracle_scan(a, m, e, p)
+        ref = materialised_scan(a, m, e, p)
+        assert vals.shape == ref.shape
+        assert np.all(np.abs(vals - ref) <= 1e-13 * ref)
+
+    @staticmethod
+    def tied_arrays():
+        rng = np.random.default_rng(5)
+        yield rng.integers(0, 4, 3000).astype(float)
+        yield np.repeat(rng.standard_normal(40), 75)
+        yield np.zeros(500)
+        for a in (np.eye(3), np.diag([2.0, 1.0, 1.0])):
+            for p in (1.3, 4.0):
+                _, _, m, e = oracle_tables(3, p, 14)
+                yield _oracle_scan(a.astype(complex), m, e, p)
+
+    def test_ranking_is_the_stable_sort(self):
+        for vals in self.tied_arrays():
+            order = np.argsort(-vals, kind="stable")
+            for k in (1, 16, 4096, vals.size):
+                top = _ranked_top(vals, k)
+                assert top.size >= min(k, vals.size)
+                np.testing.assert_array_equal(top, order[: top.size])
+                # every value tied with the last one kept is kept too
+                assert top.size == np.count_nonzero(vals >= vals[top[-1]])
+
+    def test_seeds_match_the_greedy_walk(self):
+        for vals in self.tied_arrays():
+            pts = np.linspace(0.0, 1.0, vals.size)[np.random.default_rng(6).permutation(vals.size)]
+
+            def points(idx):
+                return pts[idx][:, None]
+
+            for n_seeds, min_sep in ((6, 0.05), (16, 0.01)):
+                seeds = _oracle_seeds(vals, points, n_seeds, min_sep)
+                assert list(seeds) == reference_seeds(vals, points, n_seeds, min_sep)
+
+    def test_seeds_widen_past_a_clustered_top(self):
+        # the 5000 largest values share one basin, so the top 4096 give one seed
+        vals = -np.arange(20_000.0)
+
+        def points(idx):
+            return (idx // 5000).astype(float)[:, None]
+
+        seeds = _oracle_seeds(vals, points, 4, 1.0)
+        assert list(seeds) == [0, 5000, 10_000, 15_000]
+        assert list(_oracle_seeds(vals, points, 6, 1.0)) == [0, 5000, 10_000, 15_000]
+
+
+class TestTiedStarts:
+    @pytest.mark.parametrize("degree", [8, 16, 32])
+    def test_backward_shift_witness_does_not_follow_the_seed(self, degree):
+        # every nonzero singular value is 1, so all five p = 2 starts tie
+        g = make_grid(256)
+        ests = [backward_shift_estimate(degree, 2.0, g, seed=s) for s in (1, 2, 7)]
+        for est in ests[1:]:
+            np.testing.assert_array_equal(est.witness, ests[0].witness)
+            assert est.value == ests[0].value
 
 
 class TestCertificates:
