@@ -78,7 +78,10 @@ def _parse_list(text: str, cast=float) -> list:
 def _parse_range(text: str) -> list[float]:
     """'lo:hi:step' inclusive sweep, or a comma list, or a single value."""
     if ":" in text:
-        lo, hi, step = (float(t) for t in text.split(":"))
+        try:  # a field count other than three, or a field that is no number
+            lo, hi, step = (float(t) for t in text.split(":"))
+        except ValueError:
+            raise ValueError(f"range {text!r} needs the form lo:hi:step") from None
         if not all(math.isfinite(v) for v in (lo, hi, step)) or step <= 0.0 or hi < lo:
             raise ValueError(f"range {text!r} needs finite lo <= hi and step > 0")
         n = int(round((hi - lo) / step))

@@ -690,7 +690,7 @@ def brute_force_oracle(matrix: np.ndarray, p: float, resolution: int | None = No
         or resolution < 1
     ):
         raise ValueError(f"resolution must be None or a positive integer, got {resolution!r}")
-    a = np.asarray(matrix, dtype=complex)
+    a = np.ascontiguousarray(matrix, dtype=complex)
     dim = a.shape[0]
     if a.shape != (dim, dim) or dim > 3:
         raise OracleTooLargeError(f"oracle supports dimension <= 3, got shape {a.shape}")
@@ -698,6 +698,13 @@ def brute_force_oracle(matrix: np.ndarray, p: float, resolution: int | None = No
         raise ValueError("matrix entries must be finite")
     if dim == 1:
         return float(np.abs(a[0, 0]))
+    # keep |Ax|^p inside the floats: if the scan's top, between max|a|^p and
+    # 3 (3 max|a|)^p, might leave them, scale A by the power of two that brings
+    # max|a| into [1/2, 1) (as `_dual_ascent` does) and scale the result back;
+    # only then, since near p = 1 the seeds hinge on roundoff
+    e = int(np.frexp(np.max(np.abs(a)))[1])
+    expo = 0 if -960.0 / p < e - 1 and e + 2 < 1000.0 / p else e
+    a = np.ldexp(a.view(float), -expo).view(complex)
     if resolution is None:
         # comfortably above the 1e4 / 1e5 floors: dim-3 basins at p near 1
         # are narrow and need the denser coarse pass
@@ -802,4 +809,4 @@ def brute_force_oracle(matrix: np.ndarray, p: float, resolution: int | None = No
     for val, prm in zip(*compass(starts, vals[seeds])):
         if val > best_val:
             best_val, best_prm = float(val), prm
-    return phase_escape(best_prm, best_val)
+    return float(np.ldexp(phase_escape(best_prm, best_val), expo))

@@ -265,35 +265,19 @@ def _modular_auto(values_abs: np.ndarray, phi: PhiSpec, scale: float) -> tuple[f
 
 
 def luxemburg_norm(f: SampledFunction, phi: PhiSpec) -> float:
-    """inf{ lambda > 0 : I_phi(f/lambda) <= 1 } by monotone bisection.
+    """inf{ lambda > 0 : I_phi(f/lambda) <= 1 }, bisected to relative width
+    1e-10 on a proven bracket; the feasible end `hi` is returned.
 
-    lambda -> I_phi(f/lambda) is nonincreasing; the bracket is expanded by
-    doubling/halving before bisecting to relative width 1e-10.
+    With u = phi^{-1}(1) the norm lies in [mean|f| / u, max|f| / u].  phi is
+    convex (`_check_convexity`), so by Jensen I_phi(f/lambda) >=
+    phi(mean|f| / lambda) > phi(u) = 1 for lambda < mean|f| / u; phi is
+    increasing, so at lambda = max|f| / u every phi(|f_j| / lambda) <= 1.
     """
     a = np.abs(f.values)
     if not np.any(a > 0.0):
         return 0.0
-    lam = float(np.max(a))
-    modular, phi = _modular_auto(a, phi, 1.0 / lam)
-    lo = hi = lam
-    for _ in range(200):
-        if modular <= 1.0:
-            break
-        lo = hi
-        hi *= 2.0
-        modular, phi = _modular_auto(a, phi, 1.0 / hi)
-    else:
-        raise NoConvergenceError("Luxemburg bracket expansion failed (upper)")
-    for _ in range(200):
-        m_lo, phi = _modular_auto(a, phi, 1.0 / lo)
-        if m_lo > 1.0:
-            break
-        hi = lo
-        lo /= 2.0
-    else:
-        # modular stays <= 1 for arbitrarily small lambda only if f = 0,
-        # which was excluded above; treat as converged-to-zero bracket
-        return 0.0
+    u = float(phi.phi_inv(np.array([1.0]))[0])
+    lo, hi = float(np.mean(a)) / u, float(np.max(a)) / u
     while hi - lo > 1e-10 * hi:
         mid = 0.5 * (lo + hi)
         m_mid, phi = _modular_auto(a, phi, 1.0 / mid)
@@ -301,7 +285,6 @@ def luxemburg_norm(f: SampledFunction, phi: PhiSpec) -> float:
             hi = mid
         else:
             lo = mid
-    # hi is feasible (modular <= 1), hence an upper enclosure of the infimum
     return hi
 
 

@@ -212,7 +212,9 @@ class TestOpnormCommand:
     def test_largest_degree_that_fits_runs(self, capsys, argv):
         assert run_cli(argv, capsys)[0] == 0
 
-    @pytest.mark.parametrize("p_range", ["1:2:0", "3:1:1", "1:2:-0.5", "1:inf:0.5", "1:nan:0.5"])
+    @pytest.mark.parametrize(
+        "p_range", ["1:2:0", "3:1:1", "1:2:-0.5", "1:inf:0.5", "1:nan:0.5", "1:2", "1:2:0.5:1", "1:x:1"]
+    )
     def test_bad_range_is_usage_error(self, capsys, monkeypatch, p_range):
         def no_compute(p):
             raise AssertionError("a constant was computed for an invalid range")
@@ -222,18 +224,19 @@ class TestOpnormCommand:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert repr(p_range) in err
 
     def test_no_convergence_exits_one(self, capsys, monkeypatch):
         from hardybench.errors import NoConvergenceError
 
         def stalls(cfg):
-            raise NoConvergenceError("Luxemburg bracket expansion failed (upper)")
+            raise NoConvergenceError("phi table extension did not stabilize")
 
         monkeypatch.setitem(cli._COMMANDS, "verify", stalls)
         code, out, err = run_cli(["verify", "orlicz"], capsys)
         assert code == 1
         assert out == ""
-        assert err == "error: Luxemburg bracket expansion failed (upper)\n"
+        assert err == "error: phi table extension did not stabilize\n"
 
     def test_bad_kernel_is_usage_error(self, capsys):
         code, _, err = run_cli(

@@ -12,6 +12,7 @@ from hardybench import (
     interpolation_upper,
     lambda_pq,
 )
+from hardybench.spaces import _golden_min
 
 
 def gamma_dense_oracle(p, q, n_gamma=20001, n_x=20001):
@@ -28,6 +29,25 @@ def gamma_dense_oracle(p, q, n_gamma=20001, n_x=20001):
         return gammas[0]
     g0, g1 = gvals[j - 1], gvals[j]
     return gammas[j - 1] + (1.0 - g0) / (g1 - g0) * (gammas[j] - gammas[j - 1])
+
+
+def gamma_nested_reference(p, q):
+    """The nested search that `gamma_pq` replaced: bisection on [1, 2] for
+    g(gamma) = 1, with g(gamma) = min_x x^p + (gamma - x)^q found by golden
+    section inside each step."""
+
+    def inner_min(gamma):
+        fn = lambda x: x**p + (gamma - x) ** q  # noqa: E731
+        return _golden_min(fn, 0.0, gamma, 1e-12 * max(1.0, gamma))[1]
+
+    lo, hi = 1.0, 2.0
+    while hi - lo > 1e-11:
+        mid = 0.5 * (lo + hi)
+        if inner_min(mid) < 1.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 class TestFranchetti:
@@ -82,10 +102,11 @@ class TestInterpolationUpper:
 
 
 class TestGamma:
-    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("p", [1.25, 1.5, 2.0, 3.0, 4.0])
     def test_diagonal_closed_form(self, p):
         # inner minimum at x = y = gamma/2 gives 2 (gamma/2)^p = 1
-        assert abs(gamma_pq(p, p).value - 2.0 ** (1.0 - 1.0 / p)) < 1e-9
+        exact = 2.0 ** (1.0 - 1.0 / p)
+        assert abs(gamma_pq(p, p).value - exact) <= 4 * math.ulp(exact)
 
     def test_bracket_on_grid(self):
         for p in (1.3, 2.0, 3.0):
@@ -101,7 +122,16 @@ class TestGamma:
 
     def test_residual(self):
         rep = gamma_pq(1.7, 3.1)
-        assert rep.details["residual"] < 1e-10
+        assert rep.details["residual"] < 1e-14
+
+    def test_symmetric(self):
+        assert gamma_pq(1.7, 3.1).value == gamma_pq(3.1, 1.7).value
+
+    @pytest.mark.parametrize("p", [1.01, 1.1, 1.7, 2.5, 4.0, 50.0])
+    def test_matches_nested_reference(self, p):
+        for q in (1.01, 1.1, 1.7, 2.5, 4.0, 50.0):
+            ref = gamma_nested_reference(p, q)
+            assert abs(gamma_pq(p, q).value - ref) <= 1e-11 * ref
 
     def test_dense_oracle_agreement(self):
         # frozen from the dense-scan oracle (different algorithm family)

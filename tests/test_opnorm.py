@@ -818,6 +818,19 @@ class TestBruteForceOracle:
         for p, value in zip((1.0, 1.05, 1.3, 2.0, 4.0, INF), expected):
             assert abs(brute_force_oracle(np.array(matrix), p) - value) <= 1e-12 * value
 
+    def test_scaled_far_from_one(self, rng):
+        # |Ax|^p overflows or underflows unless A is scaled first
+        for m, p, scale in ((np.eye(2), 4.0, 1e80), (np.eye(2), 4.0, 1e-300), (np.eye(2), 64.0, 1e5)):
+            expected = brute_force_oracle(m, p) * scale
+            assert abs(brute_force_oracle(m * scale, p) - expected) <= 1e-12 * expected
+        m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        m = np.ldexp(m.view(float), -np.frexp(np.abs(m).max())[1]).view(complex)  # max in [1/2, 1)
+        for p in (1.3, 4.0):
+            base = brute_force_oracle(m, p)
+            for scale in (2.0**900, 2.0**-900):
+                expected = base * scale
+                assert abs(brute_force_oracle(m * scale, p) - expected) <= 1e-12 * expected
+
     def test_dim3_memory(self):
         m = np.array(self.PINNED[2][0])
         assert _traced_peak(lambda: brute_force_oracle(m, 1.3)) < 100 * 2**20

@@ -24,6 +24,7 @@ from hardybench import (
     synthesize,
 )
 from hardybench.errors import InvalidGeneratorError, RangeExceededError
+from hardybench.spaces import _modular_auto
 from hardybench.testfunctions import random_trig_polynomial
 
 
@@ -189,6 +190,27 @@ class TestOrliczModular:
             assert orlicz_modular(g, phi) <= orlicz_modular(f, phi) + 1e-12
 
 
+def luxemburg_expanding_reference(f, phi):
+    """The search that `luxemburg_norm` replaced: from lambda = max|f|, double
+    until I_phi(f/lambda) <= 1 and halve until it exceeds 1, then bisect to
+    relative width 1e-10 and return the feasible end."""
+    a = np.abs(f.values)
+    lo = hi = float(np.max(a))
+    modular, phi = _modular_auto(a, phi, 1.0 / hi)
+    while modular > 1.0:
+        lo, hi = hi, 2.0 * hi
+        modular, phi = _modular_auto(a, phi, 1.0 / hi)
+    while _modular_auto(a, phi, 1.0 / lo)[0] <= 1.0:
+        hi, lo = lo, 0.5 * lo
+    while hi - lo > 1e-10 * hi:
+        mid = 0.5 * (lo + hi)
+        if _modular_auto(a, phi, 1.0 / mid)[0] <= 1.0:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 class TestLuxemburg:
     def test_zero_function(self, grid64):
         phi = phi_from_rho(2.0, 4.0, 0.25)
@@ -207,6 +229,24 @@ class TestLuxemburg:
         for a in (0.125, 3.0, 17.0):
             fa = SampledFunction(grid64, a * f.values)
             assert abs(luxemburg_norm(fa, phi) - a * base) < 1e-9 * a * base
+
+    @pytest.mark.parametrize("p, q, theta", [(1.5, 3.0, 0.5), (2.0, 4.0, 0.25), (1.1, 20.0, 1.0)])
+    def test_matches_expanding_reference(self, p, q, theta):
+        # the `verify orlicz` shapes: degree-12 trigonometric polynomials on 512 points
+        g = make_grid(512)
+        rng = np.random.default_rng([0, 12])
+        phi = phi_from_rho(p, q, theta)
+        for _ in range(10):
+            f = synthesize(random_trig_polynomial(rng, 12), g)
+            ref = luxemburg_expanding_reference(f, phi)
+            assert abs(luxemburg_norm(f, phi) - ref) <= 1e-10 * ref
+
+    def test_constant_with_rho_one_equal_two(self, grid64):
+        # rho(t) = 2 t^{1/2} gives phi^{-1}(1) = 2, so ||c||_phi = c / 2
+        phi = phi_from_rho(2.0, 4.0, rho=lambda t: 2.0 * np.asarray(t, dtype=float) ** 0.5)
+        c = 3.7
+        f = SampledFunction(grid64, np.full(64, c, dtype=complex))
+        assert abs(luxemburg_norm(f, phi) - c / 2.0) <= 1e-10 * c / 2.0
 
 
 class TestAmemiya:
