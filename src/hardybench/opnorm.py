@@ -1,6 +1,7 @@
 """Operator norm estimation: exact endpoint formulas, dual-vector power
 iteration for matrix p-norms, analytic-subspace ascent, and a brute-force
-oracle for small matrices.
+oracle for matrices of dimension <= 3, which scans the faces of the l^inf
+sphere in Cartesian coordinates and shares no code with the ascents.
 
 Every norm is ||T A c||_p / ||T c||_p for the sample map T = diag(w) S that
 `_SampleMap` builds: S is the identity on a grid basis and synthesis onto
@@ -24,7 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import product
 
 import numpy as np
 
@@ -594,39 +594,41 @@ def operator_norm(
 # ---------------------------------------------------------------------------
 
 
-def _oracle_scan(a: np.ndarray, m_table: np.ndarray, e_table: np.ndarray, p: float):
-    """The oracle's coarse scan: ||A x||_p / ||x||_p at x = m (1, e) for each
-    row m of `m_table` (moduli) and each row e of `e_table` (phase factors),
-    the phase rows varying fastest.  Since |e| = 1, ||x||_p = ||m||_p, tabled
-    once per row of `m_table`.  With E holding the rows (1, e), output row i
-    of A x is (m . a_i) @ E^T; the |.|^p of these are added over i (the max
-    is taken at p = inf), chunk by chunk, so no array of all the scan's
-    points is built."""
-    dim = a.shape[0]
-    e_full = np.hstack([np.ones((len(e_table), 1)), e_table]).T  # E^T
-    n_ph = e_full.shape[1]
-    if p == INF:
-        m_norms = m_table.max(axis=1)
-    else:
-        m_norms = reduce(np.add, (m_table**p).T) ** (1.0 / p)
-    vals = np.empty(len(m_table) * n_ph)
-    per_chunk = max(1, _ORACLE_CHUNK_ROWS // n_ph)
-    for lo in range(0, len(m_table), per_chunk):
-        m = m_table[lo : lo + per_chunk]
-        out = vals[lo * n_ph : (lo + len(m)) * n_ph].reshape(len(m), n_ph)
-        for i in range(dim):
-            t = np.abs((m * a[i]) @ e_full)
+def _oracle_scan(a: np.ndarray, disc: np.ndarray, p: float):
+    """The oracle's coarse scan: ||A x||_p / ||x||_p on the faces of the
+    l^inf sphere.  On face k, x_k = 1 and the other coordinates run over
+    every tuple of points of `disc` (complex, |z| <= 1), the last varying
+    fastest; face 0 comes first.  Output row i of A x is a_ik + sum_j a_ij
+    z_j, an outer sum of the tables a_ij * disc, and ||x||_p^p = 1 + sum_j
+    |z_j|^p is an outer sum of the table |disc|^p; ||x||_inf = 1.  The
+    |.|^p of the output rows are added over i (the max is taken at p = inf),
+    chunk by chunk along the first free coordinate, so no array of all the
+    scan's points is built."""
+    dim, n = a.shape[0], disc.size
+    vals = np.empty(dim * n ** (dim - 1))
+    faces = vals.reshape((dim,) + (n,) * (dim - 1))
+    if p != INF:
+        powers = np.abs(disc) ** p
+    per_chunk = max(1, _ORACLE_CHUNK_ROWS // n ** (dim - 2))
+    for k in range(dim):
+        free = [j for j in range(dim) if j != k]
+        for lo in range(0, n, per_chunk):
+            lead = disc[lo : lo + per_chunk]
+            out = faces[k, lo : lo + len(lead)]
+            for i in range(dim):
+                tables = [a[i, k] + a[i, free[0]] * lead] + [a[i, j] * disc for j in free[1:]]
+                t = np.abs(reduce(np.add.outer, tables))
+                if p != INF:
+                    t **= p
+                if i == 0:
+                    out[:] = t
+                elif p == INF:
+                    np.maximum(out, t, out=out)
+                else:
+                    out += t
             if p != INF:
-                t **= p
-            if i == 0:
-                out[:] = t
-            elif p == INF:
-                np.maximum(out, t, out=out)
-            else:
-                out += t
-        if p != INF:
-            out **= 1.0 / p
-        out /= m_norms[lo : lo + len(m), None]
+                out /= reduce(np.add.outer, [1.0 + powers[lo : lo + len(lead)]] + [powers] * (dim - 2))
+                out **= 1.0 / p
     return vals
 
 
@@ -662,25 +664,23 @@ def _oracle_seeds(vals: np.ndarray, points, n_seeds: int, min_sep: float) -> np.
 
 
 def brute_force_oracle(matrix: np.ndarray, p: float, resolution: int | None = None) -> float:
-    """Max of ||Ax||_p over a dense sampling of the unit p-sphere, dim <= 3.
+    """Max of ||Ax||_p / ||x||_p by a dense scan and a compass search, dim <= 3.
 
-    Complex phases are covered by doubling the real parameter count (one
-    phase per coordinate after fixing the global phase).  The coarse scan
-    pairs every simplex point with every phase point, the phases varying
-    fastest.  The moduli s^{1/p} are tabled once per simplex point and the
-    factors e^{i phi} once per phase point; `_oracle_scan` forms the scan
-    from the two tables one output row of A at a time, chunk by chunk, and
-    divides by ||x||_p tabled per simplex point.  Several well-separated
-    coarse maxima seed a compass search, which removes most of the O(h^2)
-    grid bias; the coarse pass alone is accurate to O(1/resolution).  The
-    seeds are ranked by value and then by scan index, found by a partial
-    selection (`_oracle_seeds`), so ties do not leave their choice to the
-    sort.  All seeds climb as one batch, each with its own step, and so do
-    the trials that re-grow a coordinate pinned at zero.  Each trial's
-    starting value is still evaluated as a one-row product: that takes
-    another BLAS path than a batch, and batching these starts moved one
-    tested value by 7e-9 relative.  The oracle shares no code with the
-    dual-vector ascent it checks.
+    Every direction has a representative on the face of the l^inf sphere of
+    its largest coordinate: x_k = 1, and each other coordinate a point
+    z = u + iv of the closed unit disc, taken in Cartesian coordinates, so
+    the parametrisation has no singular point.  `_oracle_scan` evaluates a
+    grid of the disc with m points per axis on every face; `resolution`
+    sets the scan to at least k^2 rows at dim 2 and k^3 (k + 1) / 2 at
+    dim 3, k = round((2 resolution)^{1/(2 dim - 2)}).  Several coarse maxima,
+    pairwise at least three grid steps apart within a face and never
+    blocked by a seed of another face, seed a compass search on (u, v) of
+    every free coordinate; the seeds are ranked by value and then by scan
+    index (`_oracle_seeds`), so ties do not leave their choice to the sort.
+    All seeds climb as one batch, each with its own step, unconstrained,
+    except that at p = inf each z is mapped to z / max(1, |z|): there the
+    norm max(1, |z|) has a ridge at |z| = 1 that stalls axis moves.  The
+    oracle shares no code with the dual-vector ascent it checks.
     """
     if not (p == INF or p >= 1.0):
         raise ValueError(f"p must lie in [1, inf], got {p}")
@@ -710,27 +710,24 @@ def brute_force_oracle(matrix: np.ndarray, p: float, resolution: int | None = No
         # are narrow and need the denser coarse pass
         resolution = 20_000 if dim == 2 else 1_000_000
 
-    n_free = (dim - 1) * 2  # simplex coords + phases
+    n_free = (dim - 1) * 2  # (u, v) of each coordinate but the face's
     k = max(4, int(round((2.0 * resolution) ** (1.0 / n_free))))
-    simplex = np.array(list(product(np.linspace(0.0, 1.0, k), repeat=dim - 1)))
-    simplex = simplex[simplex.sum(axis=1) <= 1.0 + 1e-12]
-    phase_axis = np.linspace(0.0, 2.0 * np.pi, k, endpoint=False)
-    phases = np.array(list(product(phase_axis, repeat=dim - 1)))
-    n_ph = len(phases)
+    rows = k * k if dim == 2 else k**3 * (k + 1) // 2
 
-    def moduli(weights):
-        # |x_j| = s_j^{1/p} for simplex weights s (max-scaled at p = inf)
-        s = np.empty((weights.shape[0], dim))
-        s[:, : dim - 1] = np.clip(weights, 0.0, None)
-        tot = s[:, : dim - 1].sum(axis=1)
-        over = tot > 1.0
-        if np.any(over):
-            s[over, : dim - 1] /= tot[over, None]
-            tot[over] = 1.0
-        s[:, dim - 1] = 1.0 - tot
-        if p == INF:
-            return s / np.maximum(s.max(axis=1, keepdims=True), 1e-300)
-        return s ** (1.0 / p)
+    def disc_grid(m):
+        u = np.linspace(-1.0, 1.0, m)
+        z = (u[:, None] + 1j * u).ravel()
+        return z[np.abs(z) <= 1.0]
+
+    # the disc holds about pi (m - 1)^2 / 4 grid points; grow m from that
+    # estimate until the scan has its rows
+    m = max(3, int(2.0 * ((rows / dim) ** (1.0 / (dim - 1)) / np.pi) ** 0.5))
+    disc = disc_grid(m)
+    while dim * disc.size ** (dim - 1) < rows:
+        m += 1
+        disc = disc_grid(m)
+    h = 2.0 / (m - 1)  # the grid step
+    free = np.array([[j for j in range(dim) if j != f] for f in range(dim)])
 
     def row_norms(v):
         # l^p norm of each row.  The columns are combined one after another,
@@ -741,27 +738,29 @@ def brute_force_oracle(matrix: np.ndarray, p: float, resolution: int | None = No
             return reduce(np.maximum, v.T)
         return reduce(np.add, (v**p).T) ** (1.0 / p)
 
-    def ratios(m, e):
-        # ||Ax||_p / ||x||_p at x = m times (1, e)
-        x = m.astype(complex)
-        x[:, 1:] *= e
-        return row_norms(x @ a.T) / np.maximum(row_norms(x), 1e-300)
+    def ratios(face, prm):
+        # ||Ax||_p / ||x||_p at x_face = 1 and z = u + iv elsewhere, the
+        # rows of prm holding (u, v) of each z in turn
+        z = prm.view(complex)
+        if p == INF:
+            z = z / np.maximum(1.0, np.abs(z))
+        x = np.ones((len(face), dim), dtype=complex)
+        x[np.arange(len(face))[:, None], free[face]] = z
+        return row_norms(x @ a.T) / row_norms(x)
 
-    def evaluate_batch(prms):
-        return ratios(moduli(prms[:, : dim - 1]), np.exp(1j * prms[:, dim - 1 :]))
-
-    def compass(prm, val):
+    def compass(face, prm, val):
         # pattern search from each row of prm, all rows in one batch; a row
         # leaves the batch once its step falls below 1e-13
         prm, val = prm.copy(), val.copy()
-        step = np.full(len(val), 2.0 / k)
+        step = np.full(len(val), h)
         live = np.arange(len(val))
         moves = np.vstack([np.eye(n_free), -np.eye(n_free)])
         for _ in range(70):
             if live.size == 0:
                 break
             trials = prm[live, None, :] + step[live, None, None] * moves
-            tvals = evaluate_batch(trials.reshape(-1, n_free)).reshape(live.size, -1)
+            tvals = ratios(np.repeat(face[live], len(moves)), trials.reshape(-1, n_free))
+            tvals = tvals.reshape(live.size, -1)
             i = np.argmax(tvals, axis=1)
             top = tvals[np.arange(live.size), i]
             up = top > val[live]
@@ -769,44 +768,16 @@ def brute_force_oracle(matrix: np.ndarray, p: float, resolution: int | None = No
             prm[live[up]] = trials[up, i[up]]
             step[live[~up]] *= 0.5
             live = live[step[live] >= 1e-13]
-        return val, prm
-
-    def phase_escape(prm, val):
-        # a simplex coordinate pinned at ~0 leaves its phase undetermined;
-        # grow it a little at each of several phases and re-polish.
-        # coordinate c = 0 has the fixed global phase; c in 1..dim-2 are the
-        # remaining explicit simplex coords; c = dim-1 is implicit (1 - sum)
-        trials = []
-        for c in range(dim):
-            s_c = prm[c] if c < dim - 1 else 1.0 - prm[: dim - 1].sum()
-            if s_c > 2.0 / k:
-                continue
-            for phase in [0.0] if c == 0 else np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False):
-                trial = prm.copy()
-                if c < dim - 1:
-                    trial[c] = 1.0 / (2.0 * k)
-                else:
-                    trial[: dim - 1] *= 1.0 - 1.0 / (2.0 * k)
-                if c >= 1:
-                    trial[dim - 1 + c - 1] = phase
-                trials.append(trial)
-        tvals = np.array([evaluate_batch(t[None, :])[0] for t in trials])
-        for v2 in compass(np.array(trials), tvals)[0]:
-            if v2 > val:
-                val = float(v2)
         return val
 
-    # coarse scan, every simplex point paired with every phase point, the
-    # phases varying fastest; refine several well-separated coarse
-    # candidates (one per basin)
-    def points(idx):  # the parameters of scan rows idx
-        return np.hstack([simplex[idx // n_ph], phases[idx % n_ph]])
+    per_face = disc.size ** (dim - 1)
+    min_sep = 3.0 * h
 
-    vals = _oracle_scan(a, moduli(simplex), np.exp(1j * phases), p)
-    seeds = _oracle_seeds(vals, points, 6 if dim == 2 else 16, 3.0 * (2.0 / k))
-    starts = points(seeds)
-    best_val, best_prm = -1.0, starts[0]
-    for val, prm in zip(*compass(starts, vals[seeds])):
-        if val > best_val:
-            best_val, best_prm = float(val), prm
-    return float(np.ldexp(phase_escape(best_prm, best_val), expo))
+    def points(idx):  # the face, min_sep apart, and the (u, v) of scan rows idx
+        z = disc[np.stack(np.unravel_index(idx % per_face, (disc.size,) * (dim - 1)), axis=-1)]
+        return np.hstack([(idx // per_face)[:, None] * min_sep, z.view(float)])
+
+    vals = _oracle_scan(a, disc, p)
+    seeds = _oracle_seeds(vals, points, 6 if dim == 2 else 16, min_sep)
+    best = compass(seeds // per_face, points(seeds)[:, 1:], vals[seeds]).max()
+    return float(np.ldexp(best, expo))
