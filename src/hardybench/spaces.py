@@ -22,6 +22,7 @@ _PHI_TABLE_NODES = 4096  # 2^12 log-spaced nodes per table
 _PHI_RANGE = (1e-12, 1e12)  # initial argument range of phi^{-1}
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_TINY = np.finfo(float).tiny  # the smallest normal double
 
 
 # ---------------------------------------------------------------------------
@@ -138,39 +139,16 @@ class PhiSpec:
 
     def phi(self, y: np.ndarray) -> np.ndarray:
         """phi(y) for y >= 0; exact zeros map to 0 (phi(0) = 0)."""
-        y = np.asarray(y, dtype=float)
-        out = np.zeros_like(y)
-        pos = y > 0.0
-        if np.any(pos):
-            yp = y[pos]
-            if np.min(yp) < self.y_table[0] or np.max(yp) > self.y_table[-1]:
-                raise RangeExceededError(
-                    "argument outside tabulated range of phi; extend the table"
-                )
-            out[pos] = np.exp(
-                np.interp(np.log(yp), np.log(self.y_table), np.log(self.x_table))
-            )
-        return out
+        return _loglog(y, self.y_table, self.x_table)
 
     def phi_inv(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        pos = x > 0.0
-        if np.any(pos):
-            xp = x[pos]
-            if np.min(xp) < self.x_table[0] or np.max(xp) > self.x_table[-1]:
-                raise RangeExceededError(
-                    "argument outside tabulated range of phi^{-1}; extend the table"
-                )
-            out[pos] = np.exp(
-                np.interp(np.log(xp), np.log(self.x_table), np.log(self.y_table))
-            )
-        return out
+        return _loglog(x, self.x_table, self.y_table)
 
     # -- table management ---------------------------------------------------
 
     def extended_to(self, values: np.ndarray) -> "PhiSpec":
-        """New PhiSpec whose phi-range covers all positive entries of `values`."""
+        """New PhiSpec whose phi-range covers all positive entries of `values`,
+        down to where phi falls below the smallest normal double."""
         if self.rho is None:
             raise RangeExceededError(
                 "phi table has no generator attached; cannot auto-extend"
@@ -181,12 +159,8 @@ class PhiSpec:
         # convert the needed phi-domain [lo, hi] to a phi^{-1}-domain bracket,
         # with headroom so repeated extensions are rare
         x_lo, x_hi = self.x_table[0], self.x_table[-1]
-        for _ in range(40):
-            if _phi_inv_formula(x_lo, self.p, self.q, self.rho) <= lo * 0.5:
-                break
-            x_lo *= 1e-6
-        else:
-            raise NoConvergenceError("phi table extension failed at the lower end")
+        while x_lo > _TINY and _phi_inv_formula(x_lo, self.p, self.q, self.rho) > lo * 0.5:
+            x_lo = max(x_lo * 1e-6, _TINY)
         for _ in range(40):
             if _phi_inv_formula(x_hi, self.p, self.q, self.rho) >= hi * 2.0:
                 break
@@ -194,6 +168,21 @@ class PhiSpec:
         else:
             raise NoConvergenceError("phi table extension failed at the upper end")
         return _build_phi(self.p, self.q, self.rho, self.theta, x_lo, x_hi)
+
+
+def _loglog(t, nodes: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The increasing table nodes -> values, read at t >= 0 linearly in
+    log-log coordinates.  0 maps to 0, and so does t below the first node
+    when the first value is below 2^-1021; other t outside raise."""
+    t = np.asarray(t, dtype=float)
+    out = np.zeros_like(t)
+    pos = t >= nodes[0] if values[0] < 2.0 * _TINY else t > 0.0
+    if np.any(pos):
+        tp = t[pos]
+        if np.min(tp) < nodes[0] or np.max(tp) > nodes[-1]:
+            raise RangeExceededError("argument outside the tabulated range; extend the table")
+        out[pos] = np.exp(np.interp(np.log(tp), np.log(nodes), np.log(values)))
+    return out
 
 
 def _phi_inv_formula(x, p, q, rho):
@@ -224,8 +213,9 @@ def phi_from_rho(p: float, q: float, theta: float | None = 0.0,
 
     The default generator family is rho(t) = t^theta with theta in [0, 1]
     (concave and quasi-concave); theta = 0 gives phi(x) = x^p unchanged,
-    theta = 1 gives phi(x) = x^q.  A custom monotone `rho` callable may be
-    supplied instead.
+    theta = 1 gives phi(x) = x^q.  A custom `rho` callable may be supplied
+    instead; it must be increasing, which makes the log-log slope of phi at
+    least p (the Amemiya norm's bracket rests on that).
     """
     if not 1.0 < p < q < INF:
         raise ValueError(f"need 1 < p < q < inf, got p={p}, q={q}")
@@ -254,14 +244,24 @@ def orlicz_modular(f: SampledFunction, phi: PhiSpec) -> float:
 
 
 def _modular_auto(values_abs: np.ndarray, phi: PhiSpec, scale: float) -> tuple[float, PhiSpec]:
-    """Modular of scale*|f| with transparent table extension."""
+    """Modular of scale*|f|; one table extension covers every entry."""
     scaled = values_abs * scale
-    for _ in range(8):
-        try:
-            return float(np.mean(phi.phi(scaled))), phi
-        except RangeExceededError:
-            phi = phi.extended_to(scaled)
-    raise NoConvergenceError("phi table extension did not stabilize")
+    try:
+        return float(np.mean(phi.phi(scaled))), phi
+    except RangeExceededError:
+        phi = phi.extended_to(scaled)
+    return float(np.mean(phi.phi(scaled))), phi
+
+
+def _normalised_modulus(f: SampledFunction) -> tuple[np.ndarray, int]:
+    """|f| / 2^e and e, where 2^e brings max|f| into [1/2, 1): the Orlicz
+    norms are homogeneous, the scaling is exact and no sum can overflow.
+    ValueError unless every sample has a finite modulus."""
+    a = np.abs(f.values)
+    if not np.all(np.isfinite(a)):
+        raise ValueError("Orlicz norms need samples of finite modulus")
+    e = int(np.frexp(np.max(a))[1])
+    return np.ldexp(a, -e), e
 
 
 def luxemburg_norm(f: SampledFunction, phi: PhiSpec) -> float:
@@ -273,10 +273,8 @@ def luxemburg_norm(f: SampledFunction, phi: PhiSpec) -> float:
     phi(mean|f| / lambda) > phi(u) = 1 for lambda < mean|f| / u; phi is
     increasing, so at lambda = max|f| / u every phi(|f_j| / lambda) <= 1.
     """
-    a = np.abs(f.values)
-    if not np.any(a > 0.0):
-        return 0.0
-    u = float(phi.phi_inv(np.array([1.0]))[0])
+    a, e = _normalised_modulus(f)
+    u = float(phi.phi_inv(1.0))
     lo, hi = float(np.mean(a)) / u, float(np.max(a)) / u
     while hi - lo > 1e-10 * hi:
         mid = 0.5 * (lo + hi)
@@ -285,48 +283,37 @@ def luxemburg_norm(f: SampledFunction, phi: PhiSpec) -> float:
             hi = mid
         else:
             lo = mid
-    return hi
+    return math.ldexp(hi, e)
 
 
 def orlicz_amemiya_norm(f: SampledFunction, phi: PhiSpec) -> float:
-    """inf_{k>0} (1 + I_phi(k f))/k by golden-section search over log k,
-    to a bracket of width 1e-9; the value is the objective at its midpoint.
+    """inf_{k>0} (1 + I_phi(k f))/k: golden-section search over s = 1/k on a
+    proven bracket, to a width of 1e-9 times its top; the objective at the
+    final midpoint is returned.
 
-    The objective is unimodal in k (it is convex as a function of 1/k).
+    g(s) = s (1 + I_phi(f/s)) is convex, a perspective of the convex
+    modular.  Its minimiser s* lies in [mean|f| / phi^{-1}(1/(p-1)),
+    2 max|f| / u], u = phi^{-1}(1).  Upper end: s* <= g(s*) <= g(L) <= 2L
+    for the Luxemburg norm L <= max|f| / u.  Lower end: rho increases, so
+    phi has log-log slope >= p and y phi'(y) - phi(y) >= (p-1) phi(y); the
+    optimality condition mean (y phi' - phi)(|f|/s*) <= 1 then gives
+    (p-1) I_phi(f/s*) <= 1, and Jensen phi(mean|f| / s*) <= 1/(p-1).
+    phi^{-1}(1/(p-1)) comes from the generator when it leaves the table.
     """
-    a = np.abs(f.values)
+    a, e = _normalised_modulus(f)
     if not np.any(a > 0.0):
         return 0.0
+    c = 1.0 / (phi.p - 1.0)
+    in_table = phi.x_table[0] <= c <= phi.x_table[-1]
+    v = float(phi.phi_inv(c) if in_table else _phi_inv_formula(c, phi.p, phi.q, phi.rho))
+    lo, hi = float(np.mean(a)) / v, 2.0 * float(np.max(a)) / float(phi.phi_inv(1.0))
 
-    state = {"phi": phi}
+    def objective(s: float) -> float:
+        nonlocal phi
+        modular, phi = _modular_auto(a, phi, 1.0 / s)
+        return s * (1.0 + modular)
 
-    def objective(log_k: float) -> float:
-        k = math.exp(log_k)
-        modular, state["phi"] = _modular_auto(a, state["phi"], k)
-        return (1.0 + modular) / k
-
-    # expand a unimodal bracket around k = 1/max|f|
-    center = -math.log(float(np.max(a)))
-    step = 1.0
-    lo, mid, hi = center - step, center, center + step
-    f_lo, f_mid, f_hi = objective(lo), objective(mid), objective(hi)
-    for _ in range(200):
-        if f_mid <= f_lo and f_mid <= f_hi:
-            break
-        if f_lo < f_hi:
-            hi, f_hi = mid, f_mid
-            mid, f_mid = lo, f_lo
-            lo -= step
-            f_lo = objective(lo)
-        else:
-            lo, f_lo = mid, f_mid
-            mid, f_mid = hi, f_hi
-            hi += step
-            f_hi = objective(hi)
-        step *= 1.5
-    else:
-        raise NoConvergenceError("Amemiya bracket expansion failed")
-    return _golden_min(objective, lo, hi, 1e-9)[1]
+    return math.ldexp(_golden_min(objective, lo, hi, 1e-9 * hi)[1], e)
 
 
 def _golden_max(fn, lo, hi, tol):

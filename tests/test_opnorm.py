@@ -68,6 +68,13 @@ def small_op(matrix):
     return OperatorRep(matrix=matrix, basis="grid", grid=make_grid(matrix.shape[0]))
 
 
+def far_scaled_matrix():
+    """A 3 x 3 standard complex normal matrix, whose products with 2^700 or
+    2^-700 have sums of |.|^p that overflow or underflow."""
+    rng = np.random.default_rng(3)
+    return rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+
+
 class TestExactEndpoints:
     def test_identity(self, grid64):
         for p in (1.0, INF):
@@ -200,6 +207,17 @@ class TestPowerMethod:
         base = power_method_pnorm(small_op(m), 1.7, starts=4).value
         scaled = power_method_pnorm(small_op(3.5 * m), 1.7, starts=4).value
         assert abs(scaled - 3.5 * base) < 1e-9 * scaled
+
+    @pytest.mark.parametrize("scale", [2.0**700, 2.0**-700], ids=["2**700", "2**-700"])
+    def test_far_scaled_value_is_finite(self, scale):
+        # the replay is exact at any scale, but the ascent's duality maps
+        # overflow at 2^700, so only the bracket is asserted
+        m = far_scaled_matrix()
+        a = np.abs(m)
+        riesz_thorin = a.sum(axis=0).max() ** (1.0 / 3.0) * a.sum(axis=1).max() ** (2.0 / 3.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = power_method_pnorm(small_op(scale * m), 3.0).value
+        assert 0.0 < value <= scale * riesz_thorin and np.isfinite(value)
 
 
 def _traced_peak(fn):
@@ -1015,6 +1033,15 @@ class TestCertificates:
         est = power_method_pnorm(op, 3.0, starts=4)
         replay = lower_bound_certificate(op, est.witness, 3.0)
         assert abs(replay.value - est.value) < 1e-10 * est.value
+
+    @pytest.mark.parametrize("p", [1.3, 2.0, 3.0])
+    def test_replay_is_scale_invariant(self, p):
+        m = far_scaled_matrix()
+        witness = np.array([1.0, -0.5 + 0.25j, 0.3j])
+        base = certified_ratio(small_op(m), witness, p)
+        for scale in (2.0**700, 2.0**-700):
+            value = certified_ratio(small_op(scale * m), witness, p)
+            assert abs(value - scale * base) <= 1e-13 * scale * base
 
     def test_zero_witness_rejected(self, grid64):
         with pytest.raises(ValueError):

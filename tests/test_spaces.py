@@ -33,6 +33,21 @@ def random_samples(rng, grid, scale=1.0):
     return SampledFunction(grid, scale * vals)
 
 
+def power_exponent(p, q, theta):
+    """r with phi(x) = x^r for the generator rho(t) = t^theta."""
+    return 1.0 / (1.0 / p + theta * (1.0 / q - 1.0 / p))
+
+
+def amemiya_power(f, r):
+    """inf_k (1 + k^r ||f||_r^r) / k = r (r-1)^{1/r-1} ||f||_r for phi(x) = x^r."""
+    return r * (r - 1.0) ** (1.0 / r - 1.0) * lp_norm(f, r)
+
+
+# generators rho(t) = t^theta as (p, q, theta); phi(x) = x^r, r = power_exponent(p, q, theta)
+GENERATORS = [(2.0, 4.0, 0.0), (1.5, 3.0, 0.0), (1.5, 3.0, 0.5), (2.0, 4.0, 0.25), (1.1, 20.0, 1.0)]
+HOMOGENEITY_SCALES = (0.125, 3.0, 17.0, 2.0**1020, 2.0**-1030)
+
+
 class TestLpNorm:
     @pytest.mark.parametrize("p", [1.0, 2.0, 3.7, INF])
     def test_constant(self, grid64, p):
@@ -226,7 +241,7 @@ class TestLuxemburg:
         phi = phi_from_rho(1.5, 3.0, 0.5)
         f = random_samples(rng, grid64)
         base = luxemburg_norm(f, phi)
-        for a in (0.125, 3.0, 17.0):
+        for a in HOMOGENEITY_SCALES:
             fa = SampledFunction(grid64, a * f.values)
             assert abs(luxemburg_norm(fa, phi) - a * base) < 1e-9 * a * base
 
@@ -255,12 +270,22 @@ class TestAmemiya:
         f = SampledFunction(grid64, np.zeros(64, dtype=complex))
         assert orlicz_amemiya_norm(f, phi) == 0.0
 
-    def test_quadratic_phi_closed_form(self, grid64, rng):
-        # min over k of (1 + k^2 s^2)/k is attained at k = 1/s with value 2s
-        phi = phi_from_rho(2.0, 4.0, 0.0)
+    @pytest.mark.parametrize("p, q, theta", GENERATORS)
+    def test_quadratic_phi_closed_form(self, grid64, rng, p, q, theta):
+        # phi(x) = x^r: the minimum over k of (1 + k^r s^r)/k, s = ||f||_r, is
+        # r (r-1)^{1/r-1} s; for r = 2 it is 2s, attained at k = 1/s
+        phi = phi_from_rho(p, q, theta)
         f = random_samples(rng, grid64)
-        s = lp_norm(f, 2.0)
-        assert abs(orlicz_amemiya_norm(f, phi) - 2.0 * s) < 1e-8 * s
+        ref = amemiya_power(f, power_exponent(p, q, theta))
+        assert abs(orlicz_amemiya_norm(f, phi) - ref) <= 1e-9 * ref
+
+    def test_homogeneity(self, grid64, rng):
+        phi = phi_from_rho(1.5, 3.0, 0.5)
+        f = random_samples(rng, grid64)
+        base = orlicz_amemiya_norm(f, phi)
+        for a in HOMOGENEITY_SCALES:
+            fa = SampledFunction(grid64, a * f.values)
+            assert abs(orlicz_amemiya_norm(fa, phi) - a * base) < 1e-9 * a * base
 
     def test_sandwich(self, grid64, rng):
         for p, q, theta in ((1.5, 3.0, 0.5), (2.0, 4.0, 0.25)):
@@ -271,6 +296,32 @@ class TestAmemiya:
                 am = orlicz_amemiya_norm(f, phi)
                 assert lux <= am * (1 + 1e-8)
                 assert am <= 2.0 * lux * (1 + 1e-8)
+
+
+class TestOrliczInputs:
+    @pytest.mark.parametrize("p, q, theta", [(1.5, 3.0, 0.5), (1.1, 20.0, 1.0), (2.0, 4.0, 0.25)])
+    @pytest.mark.parametrize("tiny", [1e-30, 1e-100, 1e-300, 0.0])
+    def test_tiny_entry_matches_closed_forms(self, grid64, p, q, theta, tiny):
+        # phi(tiny) underflows: the table stops at the smallest normal double
+        # and phi reads 0 below it
+        values = np.ones(64, dtype=complex)
+        values[5] = tiny
+        f = SampledFunction(grid64, values)
+        phi = phi_from_rho(p, q, theta)
+        r = power_exponent(p, q, theta)
+        lux, ref = luxemburg_norm(f, phi), lp_norm(f, r)
+        assert abs(lux - ref) <= 1e-9 * ref
+        am, ref = orlicz_amemiya_norm(f, phi), amemiya_power(f, r)
+        assert abs(am - ref) <= 1e-9 * ref
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("norm", [luxemburg_norm, orlicz_amemiya_norm])
+    def test_nonfinite_samples_rejected(self, grid64, rng, bad, norm):
+        values = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+        values[7] = bad
+        f = SampledFunction(grid64, values)
+        with pytest.raises(ValueError):
+            norm(f, phi_from_rho(1.5, 3.0, 0.5))
 
 
 class TestSpaceAxioms:
