@@ -8,17 +8,24 @@ Every norm is ||T A c||_p / ||T c||_p for the sample map T = diag(w) S that
 the grid on an analytic one; w is the domain's weight, or 1.
 `certified_ratio` replays each witness through T, so no iterative value can
 exceed the true norm.  `_ascend` runs every ascent; a smooth one is the
-dual-vector iteration on the samples T c.  Grid starts enter it as samples,
-not through T: built from the unweighted A (column scores, top singular
-vector), they guess the extremal samples.  At the endpoints p in {1, inf}
-of an analytic basis the iteration runs at a smooth companion exponent and
-each witness is certified at p; one exchange ascent on the dense synthesis
-matrix polishes the p = inf winner.  Operators are applied only through
-`OperatorRep.apply` and `apply_adjoint`, and the grid power method reads no
-dense matrix of a circulant: its column scores are summed row by row, so
-it needs O(N) memory.  Each step of the iteration takes one modulus and one
-power per duality map (`_dual_map`), and the norms come from the
-same sums.
+dual-vector iteration.  On a grid basis its iterate is the samples T c;
+grid starts enter it as samples, not through T: built from the unweighted
+A (column scores, top singular vector), they guess the extremal samples.
+On an analytic basis its iterate is the coefficient vector c itself, and a
+step takes five FFTs: S A c, S A^H S^H of the first dual, the analysis of
+the second dual back to coefficients, and the synthesis of the new
+iterate for its norm; below p = 1.1 a sixth re-reads the iterate from
+those samples (`_REREAD_BELOW`).  Each solver runs on `_in_range(op, p)`,
+a copy divided by a power of two when the operator's entries would take
+the iteration's powers outside the normal floats.  At the endpoints
+p in {1, inf} of an analytic basis the iteration runs at a smooth
+companion exponent and each witness is certified at p; one exchange
+ascent on the dense synthesis matrix polishes the p = inf winner.
+Operators are applied only through `OperatorRep.apply` and
+`apply_adjoint`, and the grid power method reads no dense matrix of a
+circulant: its column scores are summed row by row, so it needs O(N)
+memory.  Each duality map (`_dual_map`) takes one modulus, one power and
+one reciprocal, and gives the norms from the same sums.
 """
 
 from __future__ import annotations
@@ -69,14 +76,16 @@ def _row_lp(v: np.ndarray, p: float) -> np.ndarray:
     """l^p norms along the last axis.  A row whose sum of |v|^p falls outside
     [smallest normal, inf) is summed again after division by its largest
     modulus, so a finite row reads 0 or inf only when its norm does."""
-    a = np.abs(v)
+    a = np.abs(v).astype(float, copy=False)
     if p == INF:
         return np.max(a, axis=-1)
     with np.errstate(over="ignore"):
-        s = np.sum(a**p, axis=-1)
+        a **= p
+    s = np.sum(a, axis=-1)
     out = s ** (1.0 / p)
     odd = (s < _TINY) | (s == INF)
     if odd.any():
+        a = np.abs(v)
         amax = np.max(a, axis=-1)
         odd &= (amax > 0.0) & (amax < INF)
         m = np.where(odd, amax, 1.0)
@@ -94,19 +103,23 @@ def _dual_map(y: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
     one power m = a^{p-1}.
 
     The dual is (y * (1/a)) * m, which equals y / a * m bit for bit; the
-    sums are those of a m.  The sign of a subnormal entry is taken after an
-    exact power-of-two scaling, since 1/a overflows there.
+    sums are those of a m.  The reciprocal is taken in place of a.  An
+    entry below the smallest normal modulus, whose reciprocal overflows, is
+    0 if it is 0 and otherwise takes its sign after an exact power-of-two
+    scaling, so each entry's dual depends on that entry alone.
     """
     a = np.abs(y)
     m = a ** (p - 1.0)
-    normal = a >= _TINY
-    out = y * np.divide(1.0, a, out=np.zeros_like(a), where=normal)
-    out *= m
-    tiny = (a > 0.0) & ~normal
-    if tiny.any():
-        scaled = y[tiny] * 2.0**600
-        out[tiny] = scaled / np.abs(scaled) * m[tiny]
-    return out, np.sum(a * m, axis=-1)
+    sums = np.sum(a * m, axis=-1)
+    small = a < _TINY
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        out = y * np.reciprocal(a, out=a)
+        out *= m
+    if small.any():
+        scaled = y[small] * 2.0**600
+        r = np.abs(scaled)
+        out[small] = np.divide(scaled, r, out=np.zeros_like(scaled), where=r > 0.0) * m[small]
+    return out, sums
 
 
 class _SampleMap:
@@ -219,7 +232,7 @@ def exact_norm_p2(op: OperatorRep, seed: int = DEFAULT_SEED) -> NormEstimate:
     for i in range(4):
         rng = np.random.default_rng([seed, 2, i])
         starts.append(rng.standard_normal(n) + 1j * rng.standard_normal(n))
-    vals, xs, iters, ok = _ascend(op, starts, 2.0, 1e-12, _MAX_ITER)
+    vals, xs, iters, ok = _ascend(_in_range(op, 2.0), starts, 2.0, 1e-12, _MAX_ITER)
     if ok.all():
         vec = xs[_first_best(vals)]
     else:  # the SVD of the dense T A T+, S being the identity here
@@ -238,41 +251,103 @@ def exact_norm_p2(op: OperatorRep, seed: int = DEFAULT_SEED) -> NormEstimate:
 # ---------------------------------------------------------------------------
 
 
-def _dual_ascent(apply_rows, adjoint_rows, x0, p, tol, max_iter, project=None):
-    """Dual-vector iteration for 1 < p < inf, run from every start (row of
-    x0) at once; `project`, if given, maps each dual update back onto the
-    subspace the iteration is confined to.  At p = 2 it is power iteration
-    on A^H A.
+def _pow2_exponent(amax: float, r: float) -> int:
+    """0 when powers up to r of values between amax and 4 amax stay inside
+    [2^-960, 2^1000]; otherwise the exponent e of amax = m 2^e, m in
+    [1/2, 1), so that dividing by 2^e brings amax into [1/2, 1)."""
+    e = int(np.frexp(amax)[1])
+    return 0 if -960.0 / r < e - 1 and e + 2 < 1000.0 / r else e
 
-    A step y = A x, z = A^H dual_p(y), x' = dual_p'(z) / ||.||_p calls
-    `_dual_map` twice and takes ||y||_p from the first call's sums.  Without
-    a projection ||x'||_p comes from the second call's sums too, since
-    sum |dual_p'(z)|^p = sum |z|^p'; a projected update is measured anew.
+
+def _companion(p: float) -> float:
+    """The exponent the dual-vector iteration runs at: p itself, or the
+    smooth companion 64 at p = inf and 1.02 at p = 1."""
+    return 64.0 if p == INF else 1.02 if p == 1.0 else p
+
+
+def _in_range(op: OperatorRep, p: float) -> OperatorRep:
+    """op, or op / 2^e when `_pow2_exponent` of its largest entry is e != 0
+    at r = q + q', q the `_companion` of p: a step of the iteration at q
+    raises the entries to at most |A|^{q q'} = |A|^{q + q'}, and the start
+    builders' powers (|A|^2 in the column scores, |A|^4 at q = 2) are no
+    higher.  The scaling is exact, so the copy's iterates are op's, and its
+    norms are 2^-e times op's at the same witnesses."""
+    q = _companion(p)
+    amax = np.max(np.abs(op.column if op.circulant else op.matrix))
+    e = _pow2_exponent(float(amax), q + holder_conjugate(q))
+    if e == 0:
+        return op
+
+    def scale(v):
+        v = np.asarray(v, dtype=complex)
+        return np.ldexp(v.real, -e) + 1j * np.ldexp(v.imag, -e)
+
+    parts = (
+        dict(column=scale(op.column), multipliers=scale(op.multipliers))
+        if op.circulant
+        else dict(matrix=scale(op.matrix))
+    )
+    return OperatorRep(basis=op.basis, grid=op.grid, degree=op.degree, domain=op.domain, **parts)
+
+
+# Below this exponent the coefficient iterate is re-read from its samples
+# each step, which is the arithmetic of projecting the update by S S+ in
+# sample space.  There the first duality map raises a sample at roundoff
+# level, 2^-52 of its row's largest, to more than 3 % of the largest dual
+# (2^(-52 (p - 1)) > 2^-5.2), so the roundoff of the transforms decides
+# which way a start that is symmetric in exact arithmetic turns: a
+# lacunary start c(z^2) keeps its odd coefficients 0 only up to roundoff
+# and climbs to a saddle.  Re-reading repeats those transforms, so values
+# at p = 1 (companion q = 1.02) equal the projected iteration's.
+_REREAD_BELOW = 1.1
+
+
+def _dual_ascent(apply_rows, adjoint_rows, x0, p, tol, max_iter, synthesis=None):
+    """Dual-vector iteration for 1 < p < inf, run from every start (row of
+    x0) at once.  At p = 2 it is power iteration on A^H A.
+
+    Without `synthesis` the iterate x is a vector of samples.  A step
+    y = A x, z = A^H dual_p(y), x' = dual_p'(z) / ||.||_p calls `_dual_map`
+    twice; ||y||_p comes from the first call's sums and ||x'||_p from the
+    second's, since sum |dual_p'(z)|^p = sum |z|^p'.
+
+    With `synthesis` = (S, S+), the iterate is a coefficient vector c whose
+    samples are S c, `apply_rows` gives the samples S A c and
+    `adjoint_rows` maps samples to samples.  The step analyses the dual
+    update, c' = S+ dual_p'(z), synthesises S c' for ||S c'||_p and
+    divides c' by it: five transforms, where projecting each update by
+    S S+ in sample space took six.  Below p = `_REREAD_BELOW` the next
+    iterate is instead S+ (S c' / ||S c'||_p), the projected iteration's
+    arithmetic.
 
     Each row keeps its own stop rule and best iterate, and leaves the batch
     when it stops.  Returns per-row arrays: best value, best iterate,
     iterations and convergence; a zero start gives value 0 at itself.
     """
     pprime = holder_conjugate(p)
+    synthesise, analyse = synthesis or (lambda x: x, None)
+    reread = analyse is not None and p < _REREAD_BELOW
     x0 = np.asarray(x0, dtype=complex)
     best_val = np.full(x0.shape[0], -1.0)
     best_x = x0.copy()
     iters = np.zeros(x0.shape[0], dtype=int)
     converged = np.ones(x0.shape[0], dtype=bool)
 
+    s0 = synthesise(x0)
     with np.errstate(over="ignore"):
-        nx = _row_lp(x0, p)
+        nx = _row_lp(s0, p)
     # a finite nonzero row whose norm underflows or overflows is scaled by
     # the power of two that brings its largest modulus into [1/2, 1)
     amax = np.max(np.abs(x0), axis=1)
     odd = ((nx < _TINY) | (nx == INF)) & (amax > 0.0) & (amax < INF)
     if odd.any():
-        x0 = x0.copy()
+        x0, s0 = x0.copy(), s0.copy()
         x0[odd] = np.ldexp(x0[odd].view(float), -np.frexp(amax[odd])[1][:, None]).view(complex)
-        nx[odd] = _row_lp(x0[odd], p)
+        s0[odd] = synthesise(x0[odd])
+        nx[odd] = _row_lp(s0[odd], p)
     best_val[nx == 0.0] = 0.0
     rows = np.flatnonzero(nx != 0.0)  # original row of each live row
-    x = x0[rows] / nx[rows, None]
+    x = analyse(s0[rows] / nx[rows, None]) if reread else x0[rows] / nx[rows, None]
     prev = np.full(rows.size, -1.0)
     for it in range(max_iter):
         if rows.size == 0:
@@ -289,16 +364,18 @@ def _dual_ascent(apply_rows, adjoint_rows, x0, p, tol, max_iter, project=None):
             rows, dy, val = rows[keep], dy[keep], val[keep]
         prev = val
         xn, nn = _dual_map(adjoint_rows(dy), pprime)
-        if project is None:
+        if analyse is None:
+            sn = xn
             nn **= 1.0 / p
         else:
-            xn = project(xn)
-            nn = _row_lp(xn, p)
+            xn = analyse(xn)
+            sn = synthesise(xn)
+            nn = _row_lp(sn, p)
         if np.any(nn == 0.0):
             iters[rows[nn == 0.0]] = it + 1
             keep = nn != 0.0
-            rows, prev, xn, nn = rows[keep], prev[keep], xn[keep], nn[keep]
-        x = xn * (1.0 / nn)[:, None]
+            rows, prev, xn, sn, nn = rows[keep], prev[keep], xn[keep], sn[keep], nn[keep]
+        x = analyse(sn * (1.0 / nn)[:, None]) if reread else xn * (1.0 / nn)[:, None]
     iters[rows] = max_iter
     converged[rows] = False
     return best_val, best_x, iters, converged
@@ -307,17 +384,23 @@ def _dual_ascent(apply_rows, adjoint_rows, x0, p, tol, max_iter, project=None):
 def _ascend(op: OperatorRep, starts, p: float, tol: float, max_iter: int):
     """Ascend ||A x||_p / ||x||_p from every start (row of `starts`, in the
     operator's own basis) at once; 1 < p < inf on a grid basis and
-    1 <= p <= inf on an analytic one.
+    1 <= p <= inf on an analytic one.  The solvers pass `_in_range(op, p)`,
+    so that the iteration's powers stay in the floats.
 
-    With T the `_SampleMap` at p, the dual-vector iteration runs on the
-    samples y = T x: it applies T A T+ and (T+)^H A^H T^H, projects each
-    dual update by T T+ when S is not the identity, starts from S x and
-    returns the witnesses T+ y.  At p in {1, inf} the iteration runs at a
-    smooth companion exponent (q = 64 or 1.02) and each row is certified at
-    p; at p = inf the exchange ascent then polishes the winning row once
-    and replaces it only if it certifies strictly higher.  A weighted
-    analytic operator raises ValueError: none of these ascents optimises
-    its norm.
+    With T the `_SampleMap` at p, the dual-vector iteration applies
+    T A T+ and (T+)^H A^H T^H.  When S is the identity its iterate is the
+    samples T x: it starts from x and returns the witnesses T+ y.  When S
+    synthesises, its iterate is the coefficient vector c itself, which
+    `_dual_ascent` synthesises only for norms: a step takes S A c,
+    dualises, applies S A^H S^H, dualises, analyses c' = S+ of the update
+    and synthesises S c' for its norm, and the best iterates are the
+    witnesses.
+
+    At p in {1, inf} the iteration runs at the `_companion` exponent
+    (q = 1.02 or 64) and each row is certified at p; at p = inf the
+    exchange ascent then polishes the winning row once and replaces it only
+    if it certifies strictly higher.  A weighted analytic operator raises
+    ValueError: none of these ascents optimises its norm.
 
     Returns per-start arrays: best value, witness, iterations and
     convergence; a zero start gives value 0 at itself.
@@ -327,7 +410,7 @@ def _ascend(op: OperatorRep, starts, p: float, tol: float, max_iter: int):
     if t.synthesises and t.w is not None:
         raise ValueError("no ascent optimises the norm of a weighted analytic operator")
     if t.synthesises and (p == 1.0 or p == INF):
-        _, xs, iters, ok = _ascend(op, x0, 64.0 if p == INF else 1.02, tol, max_iter)
+        _, xs, iters, ok = _ascend(op, x0, _companion(p), tol, max_iter)
         vals = np.array([certified_ratio(op, c, p) if np.any(c) else 0.0 for c in xs])
         win = int(np.argmax(vals))
         if p == INF and vals[win] > 0.0:
@@ -336,17 +419,20 @@ def _ascend(op: OperatorRep, starts, p: float, tol: float, max_iter: int):
             if val > vals[win]:
                 vals[win], xs[win] = val, c
         return vals, xs, iters, ok
-    vals, ys, iters, ok = _dual_ascent(
-        lambda y: t(op.apply(t.inverse(y))),
+    if t.synthesises:  # the iterate is c, with samples S c
+        apply_rows, synthesis = (lambda c: t(op.apply(c))), (t.synthesise, t.inverse)
+    else:  # the iterate is the samples T x
+        apply_rows, synthesis = (lambda y: t(op.apply(t.inverse(y)))), None
+    vals, xs, iters, ok = _dual_ascent(
+        apply_rows,
         lambda y: t.inverse_adjoint(op.apply_adjoint(t.adjoint(y))),
-        t.synthesise(x0),
+        x0,
         p,
         tol,
         max_iter,
-        project=(lambda y: t(t.inverse(y))) if t.synthesises else None,
+        synthesis,
     )
-    # a copy: a view would keep the (S, N) spectrum alive in every witness
-    return vals, t.inverse(ys).copy(), iters, ok
+    return vals, xs if t.synthesises else t.inverse(xs), iters, ok
 
 
 def _first_best(vals: np.ndarray) -> int:
@@ -466,7 +552,8 @@ def power_method_pnorm(
         raise ValueError("operator matrix contains non-finite entries")
     if op.basis != "grid":
         raise ValueError("power_method_pnorm expects a grid-basis operator")
-    return _best(op, p, *_ascend(op, _grid_starts(op, starts, seed), p, 1e-10, _MAX_ITER))
+    work = _in_range(op, p)
+    return _best(op, p, *_ascend(work, _grid_starts(work, starts, seed), p, 1e-10, _MAX_ITER))
 
 
 # ---------------------------------------------------------------------------
@@ -579,7 +666,8 @@ def subspace_norm(
         raise ValueError(f"p must lie in [1, inf], got {p}")
     if p == 2.0:
         return exact_norm_p2(op, seed=seed)
-    return _best(op, p, *_ascend(op, _coeff_starts(op, starts, seed), p, 1e-10, _MAX_ITER))
+    work = _in_range(op, p)
+    return _best(op, p, *_ascend(work, _coeff_starts(work, starts, seed), p, 1e-10, _MAX_ITER))
 
 
 def operator_norm(
@@ -710,10 +798,9 @@ def brute_force_oracle(matrix: np.ndarray, p: float, resolution: int | None = No
         return float(np.abs(a[0, 0]))
     # keep |Ax|^p inside the floats: if the scan's top, between max|a|^p and
     # 3 (3 max|a|)^p, might leave them, scale A by the power of two that brings
-    # max|a| into [1/2, 1) (as `_dual_ascent` does) and scale the result back;
+    # max|a| into [1/2, 1) (as `_in_range` does) and scale the result back;
     # only then, since near p = 1 the seeds hinge on roundoff
-    e = int(np.frexp(np.max(np.abs(a)))[1])
-    expo = 0 if -960.0 / p < e - 1 and e + 2 < 1000.0 / p else e
+    expo = _pow2_exponent(float(np.max(np.abs(a))), p)
     a = np.ldexp(a.view(float), -expo).view(complex)
     if resolution is None:
         # comfortably above the 1e4 / 1e5 floors: dim-3 basins at p near 1

@@ -27,6 +27,7 @@ from .opnorm import (
     DEFAULT_SEED,
     NormEstimate,
     _ascend,
+    _in_range,
     certified_ratio,
     operator_norm,
     power_method_pnorm,
@@ -92,7 +93,7 @@ def _polish_subspace(op, witness, p, seed):
         rng = np.random.default_rng([seed, 7, t])
         bump = rng.standard_normal(witness.size) + 1j * rng.standard_normal(witness.size)
         starts.append(witness + 1e-3 * scale / np.linalg.norm(bump) * bump)
-    _, cands, _, _ = _ascend(op, starts, p, 1e-12, 5000)
+    _, cands, _, _ = _ascend(_in_range(op, p), starts, p, 1e-12, 5000)
     for cand in cands:
         if np.any(cand != 0):
             val = certified_ratio(op, cand, p)

@@ -148,25 +148,29 @@ class PhiSpec:
 
     def extended_to(self, values: np.ndarray) -> "PhiSpec":
         """New PhiSpec whose phi-range covers all positive entries of `values`,
-        down to where phi falls below the smallest normal double."""
+        down to where phi falls below the smallest normal double.  Only an
+        end that falls short moves, with headroom so that repeated
+        extensions are rare; a table that covers them is returned as is."""
         if self.rho is None:
             raise RangeExceededError(
                 "phi table has no generator attached; cannot auto-extend"
             )
         pos = np.abs(values[np.abs(values) > 0.0])
-        lo = min(float(np.min(pos)), self.y_table[0])
-        hi = max(float(np.max(pos)), self.y_table[-1])
-        # convert the needed phi-domain [lo, hi] to a phi^{-1}-domain bracket,
-        # with headroom so repeated extensions are rare
+        lo, hi = float(np.min(pos)), float(np.max(pos))
+        # convert the needed phi-domain [lo, hi] to a phi^{-1}-domain bracket
         x_lo, x_hi = self.x_table[0], self.x_table[-1]
-        while x_lo > _TINY and _phi_inv_formula(x_lo, self.p, self.q, self.rho) > lo * 0.5:
-            x_lo = max(x_lo * 1e-6, _TINY)
-        for _ in range(40):
-            if _phi_inv_formula(x_hi, self.p, self.q, self.rho) >= hi * 2.0:
-                break
-            x_hi *= 1e6
-        else:
-            raise NoConvergenceError("phi table extension failed at the upper end")
+        if lo < self.y_table[0]:
+            while x_lo > _TINY and _phi_inv_formula(x_lo, self.p, self.q, self.rho) > lo * 0.5:
+                x_lo = max(x_lo * 1e-6, _TINY)
+        if hi > self.y_table[-1]:
+            for _ in range(40):
+                if _phi_inv_formula(x_hi, self.p, self.q, self.rho) >= hi * 2.0:
+                    break
+                x_hi *= 1e6
+            else:
+                raise NoConvergenceError("phi table extension failed at the upper end")
+        if x_lo == self.x_table[0] and x_hi == self.x_table[-1]:
+            return self
         return _build_phi(self.p, self.q, self.rho, self.theta, x_lo, x_hi)
 
 

@@ -210,14 +210,25 @@ class TestPowerMethod:
 
     @pytest.mark.parametrize("scale", [2.0**700, 2.0**-700], ids=["2**700", "2**-700"])
     def test_far_scaled_value_is_finite(self, scale):
-        # the replay is exact at any scale, but the ascent's duality maps
-        # overflow at 2^700, so only the bracket is asserted
+        # the value within the Riesz-Thorin bracket; the next test pins it
         m = far_scaled_matrix()
         a = np.abs(m)
         riesz_thorin = a.sum(axis=0).max() ** (1.0 / 3.0) * a.sum(axis=1).max() ** (2.0 / 3.0)
         with np.errstate(over="ignore", invalid="ignore"):
             value = power_method_pnorm(small_op(scale * m), 3.0).value
         assert 0.0 < value <= scale * riesz_thorin and np.isfinite(value)
+
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_far_scaled_matches_unscaled(self, p):
+        # the ascent runs on the operator divided by a power of two
+        m = far_scaled_matrix()
+        a = m / 2.0 ** np.frexp(np.max(np.abs(m)))[1]  # largest entry in [1/2, 1)
+        base = power_method_pnorm(small_op(a), p).value
+        for scale in (2.0**700, 2.0**-700):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                value = power_method_pnorm(small_op(scale * a), p).value
+            assert abs(value - scale * base) <= 1e-12 * scale * base
 
 
 def _traced_peak(fn):
@@ -485,48 +496,70 @@ def _reference_dual_ascent(apply_rows, adjoint_rows, x0, p, tol, max_iter, proje
 
 
 def _fused_case(grid, basis, p):
-    """(apply, adjoint, starts, project) on grid64 Fejer n = 1, or on its
-    degree-8 analytic restriction through the sample map as `_ascend` runs
-    it.  A zero row and a row with subnormal entries ride along."""
+    """(apply, adjoint, starts, synthesis) on grid64 Fejer n = 1, or on its
+    degree-8 analytic restriction as `_ascend` runs it: on coefficients,
+    with synthesis = (S, S+).  A zero row and a row with subnormal entries
+    ride along."""
     op = fejer_difference_operator(1, grid)
     if basis == "grid":
-        fwd, adj, project = op.apply, op.apply_adjoint, None
+        fwd, adj, synthesis = op.apply, op.apply_adjoint, None
         starts = np.array(_grid_starts(op, 4, DEFAULT_SEED))
     else:
         res = analytic_restriction(op, 8)
         t = _SampleMap(res, p)
-        fwd = lambda y: t(res.apply(t.inverse(y)))
+        fwd = lambda c: t(res.apply(c))
         adj = lambda y: t.inverse_adjoint(res.apply_adjoint(t.adjoint(y)))
-        project = lambda y: t(t.inverse(y))
-        starts = t.synthesise(np.array(_coeff_starts(res, 4, DEFAULT_SEED)))
+        synthesis = (t.synthesise, t.inverse)
+        starts = np.array(_coeff_starts(res, 4, DEFAULT_SEED))
     tiny = starts[-1].copy()
     tiny[0::4], tiny[1::4], tiny[2::4] = 4e-320 + 3e-320j, -3e-310j, -2e-308
-    return fwd, adj, np.vstack([starts, np.zeros(starts.shape[1]), tiny]), project
+    return fwd, adj, np.vstack([starts, np.zeros(starts.shape[1]), tiny]), synthesis
+
+
+def _sample_space_reference(fwd, adj, batch, p, synthesis):
+    """`_reference_dual_ascent` in sample space: the iterate is S c, each
+    dual update is projected by S S+, and the witnesses are mapped back to
+    coefficients by S+."""
+    if synthesis is None:
+        return _reference_dual_ascent(fwd, adj, batch, p, 1e-10, 10_000)
+    s, s_inv = synthesis
+    vals, ys, iters, ok = _reference_dual_ascent(
+        lambda y: fwd(s_inv(y)), adj, s(batch), p, 1e-10, 10_000, lambda y: s(s_inv(y))
+    )
+    return vals, s_inv(ys), iters, ok
+
+
+def _assert_rows_follow(vals, xs, ref):
+    """Every row matches the reference `ref` within 1e-12 on value and 1e-10
+    on witness."""
+    ref_vals, ref_xs = ref[:2]
+    assert np.all(np.abs(vals - ref_vals) <= 1e-12 * ref_vals)
+    scale = np.maximum(np.max(np.abs(ref_xs), axis=1), np.finfo(float).tiny)
+    assert np.all(np.max(np.abs(xs - ref_xs), axis=1) <= 1e-10 * scale)
 
 
 class TestFusedDualAscent:
     # the fused duality map against the iteration with separate norms, two
-    # dualizations and a division per step
+    # dualizations and a division per step; on an analytic basis also the
+    # coefficient iterate against the projected samples
 
     @pytest.mark.parametrize("basis", ["grid", "analytic"])
     @pytest.mark.parametrize("p", [1.02, 1.5, 3.0, 4.0, 64.0])
     def test_matches_reference_arithmetic(self, grid64, basis, p):
-        fwd, adj, batch, project = _fused_case(grid64, basis, p)
-        vals, xs, _, ok = _dual_ascent(fwd, adj, batch, p, 1e-10, 10_000, project)
-        ref_vals, ref_xs, _, ref_ok = _reference_dual_ascent(
-            fwd, adj, batch, p, 1e-10, 10_000, project
-        )
+        fwd, adj, batch, synthesis = _fused_case(grid64, basis, p)
+        vals, xs, _, ok = _dual_ascent(fwd, adj, batch, p, 1e-10, 10_000, synthesis)
+        ref = _sample_space_reference(fwd, adj, batch, p, synthesis)
+        ref_vals, ref_xs = ref[:2]
         assert np.all(np.isfinite(vals)) and np.all(np.isfinite(xs))
         assert vals[-2] == 0.0 and not np.any(xs[-2])
-        assert np.array_equal(ok, ref_ok)
+        assert np.array_equal(ok, ref[3])
         win = int(np.argmax(ref_vals))
         assert int(np.argmax(vals)) == win
         assert abs(vals[win] - ref_vals[win]) <= 1e-12 * ref_vals[win]
         scale = np.maximum(np.max(np.abs(ref_xs), axis=1), np.finfo(float).tiny)
         wit_err = np.max(np.abs(xs - ref_xs), axis=1) / scale
         if basis == "analytic":  # every row follows the reference
-            assert np.all(np.abs(vals - ref_vals) <= 1e-12 * ref_vals)
-            assert np.all(wit_err <= 1e-10)
+            _assert_rows_follow(vals, xs, ref)
             return
         # On the grid some starts sit near a saddle or a plateau, where
         # roundoff decides the path: a one-ulp change of the reference's own
@@ -537,6 +570,21 @@ class TestFusedDualAscent:
         # same one-ulp change moves the reference's own witness by 1e-8.
         if p < 64.0:
             assert wit_err[win] <= 1e-10
+
+
+class TestCoefficientStateAscent:
+    # `_ascend` keeps an analytic iterate as its coefficients: every row
+    # follows the sample-space iteration that projects each dual update
+
+    @pytest.mark.parametrize("p", [1.02, 1.5, 3.0, 4.0, 64.0])
+    def test_ascend_matches_sample_space_reference(self, grid64, p):
+        res = analytic_restriction(fejer_difference_operator(1, grid64), 8)
+        fwd, adj, batch, synthesis = _fused_case(grid64, "analytic", p)
+        vals, cs, _, ok = _ascend(res, batch, p, 1e-10, 10_000)
+        ref = _sample_space_reference(fwd, adj, batch, p, synthesis)
+        assert vals[-2] == 0.0 and not np.any(cs[-2])
+        assert np.array_equal(ok, ref[3])
+        _assert_rows_follow(vals, cs, ref)
 
 
 class TestSubspaceNorm:
@@ -564,6 +612,29 @@ class TestSubspaceNorm:
         # the subtract-mean norm on the analytic subspace near p = 1 is < 1.7047
         est = fejer_hp_estimate(0, 1.01, 64, grid1024, starts=4)
         assert 1.0 - 1e-9 <= est.value <= 1.7047
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 4.0, INF])
+    def test_far_scaled_matches_unscaled(self, grid256, p):
+        r = analytic_restriction(fejer_difference_operator(1, grid256), 12)
+        a = 0.75 * r.matrix  # largest entry in [1/2, 1)
+        base = subspace_norm(OperatorRep(matrix=a, basis="analytic", grid=grid256, degree=12), p)
+        for scale in (2.0**700, 2.0**-700):
+            op = OperatorRep(matrix=scale * a, basis="analytic", grid=grid256, degree=12)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                value = subspace_norm(op, p).value
+            assert abs(value - scale * base.value) <= 1e-12 * scale * base.value
+
+    def test_large_shift_endpoint(self, grid256):
+        # 1e10 times the shift read 1.0e10 when the companion ascent at
+        # q = 1.02 overflowed.  It now runs on 1e10 / 2^34 times the shift,
+        # which differs from the shift by roundoff; the q = 1.02 ascent's
+        # stopped value moves by 5e-7 relative under that change
+        op = backward_shift(16, grid256)
+        value = subspace_norm(op, 1.0).value
+        assert abs(value - 1.0629133) <= 5e-8
+        big = OperatorRep(matrix=1e10 * op.matrix, basis="analytic", grid=grid256, degree=16)
+        assert abs(subspace_norm(big, 1.0).value - 1e10 * value) <= 1e-6 * 1e10 * value
 
     def test_witness_replays_value(self, grid256):
         r = analytic_restriction(fejer_difference_operator(1, grid256), 10)

@@ -180,6 +180,16 @@ class TestPhiFromRho:
         with pytest.raises(InvalidGeneratorError):
             phi_from_rho(2.0, 4.0, rho=lambda t: t**-6.0)
 
+    def test_extension_moves_only_the_short_end(self):
+        phi = phi_from_rho(1.1, 20.0, 1.0)  # phi^{-1}(x) = x^{1/20}: y in [0.25, 3.99]
+        lo, hi = phi.y_table[0], phi.y_table[-1]
+        covered = phi.extended_to(np.array([lo, 1.0, hi]))
+        assert covered.x_table[0] == phi.x_table[0] and covered.x_table[-1] == phi.x_table[-1]
+        low = phi.extended_to(np.array([1e-3, 1.0]))
+        assert low.y_table[0] <= 1e-3 and low.x_table[-1] == phi.x_table[-1]
+        high = phi.extended_to(np.array([1.0, 1e3]))
+        assert high.y_table[-1] >= 1e3 and high.x_table[0] == phi.x_table[0]
+
     def test_out_of_range_raises(self, grid64):
         phi = phi_from_rho(2.0, 4.0, 0.5)
         with pytest.raises(RangeExceededError):
