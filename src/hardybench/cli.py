@@ -99,6 +99,32 @@ def _parse_kernel(text: str) -> KernelSpec:
     raise ValueError(f"unknown kernel {text!r}; expected fejer:<n> or poisson:<r>")
 
 
+def _check_kernel_fits(kernel: KernelSpec, n_grid: int) -> None:
+    """Reject a kernel that an n_grid-point grid does not represent as the
+    kernel the proven bounds assume: a Fejer band |k| <= n must not alias
+    (2n + 1 <= N), and the N samples of P_r, whose mean is
+    (1 + r^N) / (1 - r^N), must have unit mass to 1e-12."""
+    if kernel.kind == "fejer" and 2 * kernel.order + 1 > n_grid:
+        raise ValueError(
+            f"Fejer order {kernel.order} needs a grid of at least {2 * kernel.order + 1} points, "
+            f"got {n_grid}"
+        )
+    if kernel.kind == "poisson":
+        t = kernel.radius**n_grid
+        if 1.0 + t > (1.0 + 1e-12) * (1.0 - t):
+            raise ValueError(
+                f"Poisson radius {kernel.radius} has no unit mass on a grid of {n_grid} points; "
+                f"it needs (1 + r^N) / (1 - r^N) <= 1 + 1e-12"
+            )
+
+
+def _sweep_orders(cfg: RunConfig) -> list:
+    """The Fejer orders of a sweep's rows; problem2 has the one order None."""
+    if cfg.problem == "problem2":
+        return [None]
+    return sorted(_parse_list(cfg.q, int) if cfg.q else [0, 1, 2])
+
+
 def _fmt(value) -> str:
     if isinstance(value, float):
         if value == INF:
@@ -223,10 +249,7 @@ def cmd_sweep(cfg: RunConfig) -> tuple[list[dict], list[dict]]:
     ps = _parse_range(cfg.p) if cfg.p else [1.5, 2.0, 3.0]
     degrees = [cfg.degree // 2, cfg.degree] if cfg.degree >= 4 else [cfg.degree]
     g = make_grid(cfg.grid_size)
-    if cfg.problem == "problem2":
-        orders = [None]
-    else:
-        orders = sorted(_parse_list(cfg.q, int) if cfg.q else [0, 1, 2])
+    orders = _sweep_orders(cfg)
 
     def estimate(n, p, d):
         if n is None:
@@ -299,10 +322,13 @@ def _verify_convolution(cfg: RunConfig) -> list[dict]:
     return checks
 
 
+_TWO_SIDED_ORDERS = (0, 1, 2, 4)
+
+
 def _verify_two_sided(cfg: RunConfig) -> list[dict]:
     checks = []
     n_grid = cfg.grid_size
-    for n in (0, 1, 2, 4):
+    for n in _TWO_SIDED_ORDERS:
         kernel = KernelSpec.fejer(n)
         for p in (1.0, 1.5, 2.0, 3.0, INF):
             est = _estimate_identity_minus(
@@ -508,6 +534,15 @@ def _check_usage(cfg: RunConfig) -> None:
         # the band limits of analytic_synthesis (problem2) and analytic_restriction
         if (top >= cfg.grid_size) if cfg.problem == "problem2" else (2 * top + 1 > cfg.grid_size):
             raise ValueError(f"degree {top} does not fit on a grid of {cfg.grid_size} points")
+    kernels = []
+    if cfg.command == "opnorm":
+        kernels = [_parse_kernel(cfg.kernel)]
+    elif cfg.command == "sweep":
+        kernels = [KernelSpec.fejer(n) for n in _sweep_orders(cfg) if n is not None]
+    elif cfg.suite == "two-sided":
+        kernels = [KernelSpec.fejer(max(_TWO_SIDED_ORDERS))]
+    for kernel in kernels:
+        _check_kernel_fits(kernel, cfg.grid_size)
     reads_p = cfg.command in ("opnorm", "sweep") or cfg.suite == "monotone"
     if cfg.p and reads_p:
         ps = _parse_range(cfg.p) if cfg.command == "sweep" else [_parse_p(cfg.p)]

@@ -31,7 +31,9 @@ def franchetti_cp(p: float) -> ConstantReport:
         C_p = max_{0<=a<=1} (a^{p-1} + (1-a)^{p-1})^{1/p}
                           * (a^{1/(p-1)} + (1-a)^{1/(p-1)})^{1-1/p},
 
-    with C_1 = 2 exactly.  The objective is symmetric about a = 1/2 and in
+    with C_1 = 2 exactly.  It is evaluated with max(a, 1-a) factored out,
+    so that C_p tends to 2 as p -> 1 or inf instead of underflowing to the
+    endpoint value 1.  The objective is symmetric about a = 1/2 and in
     general has two symmetric maximizers; the canonical one (<= 1/2) is
     reported, all near-maximizers found by the 100 001-point scan are
     attached.
@@ -47,13 +49,28 @@ def franchetti_cp(p: float) -> ConstantReport:
     s = 1.0 / (p - 1.0)
 
     def objective(alpha):
+        # with m = max(a, 1-a) and t = min(a, 1-a) / m the objective is
+        # m (1 + t^{p-1})^{1/p} (1 + t^s)^{1-1/p}: a power that underflows is
+        # added to 1 and no longer zeroes a factor
         alpha = np.asarray(alpha, dtype=float)
-        first = (alpha ** (p - 1.0) + (1.0 - alpha) ** (p - 1.0)) ** (1.0 / p)
-        second = (alpha**s + (1.0 - alpha) ** s) ** (1.0 - 1.0 / p)
-        return first * second
+        beta = 1.0 - alpha
+        m, t = np.maximum(alpha, beta), np.minimum(alpha, beta)
+        t /= m
+        first = t ** (p - 1.0)
+        first += 1.0
+        first **= 1.0 / p
+        t **= s
+        t += 1.0
+        t **= 1.0 - 1.0 / p
+        m *= first
+        m *= t
+        return m
 
     alphas = np.linspace(0.0, 1.0, 100_001)
-    values = objective(alphas)
+    # in chunks of about 7700 points and in place, so that the scan's
+    # temporaries stay few and small enough for the allocator to reuse; each
+    # value is computed elementwise, so the chunking does not change its bits
+    values = np.concatenate([objective(a) for a in np.array_split(alphas, 13)])
     top = float(np.max(values))
     near = alphas[values >= top - 1e-9]
     idx = int(np.argmax(values))
@@ -88,19 +105,21 @@ def gamma_pq(p: float, q: float) -> ConstantReport:
     strictly from 0 to h(1) > 1; one bisection finds its root x in (0, 1),
     until the midpoint equals an endpoint, and gamma = x + y(x).  gamma is
     symmetric in (p, q), which are ordered so that e <= 1 (one ulp of x moves
-    y by about an ulp).  As the least x + y on x^p + y^q = 1, gamma moves to
-    first order only with the residual |x^p + y^q - 1| (`details`).  Against
-    a 40-digit solve its relative error was <= 1.1e-16 on p, q in {1.01, 1.1,
-    1.7, 2.5, 4, 50} and <= 2.2e-16 on 300 random pairs in (1, 1001].
+    y by about an ulp).  y(x)^q is taken as c^q x^{eq}, which keeps its
+    digits where y rounds to 1 (q above about 1e16).  As the least x + y on
+    x^p + y^q = 1, gamma moves to first order only with the residual
+    |x^p + y^q - 1| (`details`).  Against a 40-digit solve its relative error
+    was <= 1.6e-16 (one ulp) on p, q in {1.01, 1.1, 1.7, 2.5, 4, 50} and
+    <= 1.5e-16 on 300 random pairs in (1, 1001].
     """
     if not (1.0 < p < INF and 1.0 < q < INF):
         raise ValueError(f"gamma_pq needs 1 < p, q < inf, got p={p}, q={q}")
     a, b = min(p, q), max(p, q)
     c, e = (a / b) ** (1.0 / (b - 1.0)), (a - 1.0) / (b - 1.0)
+    cb, eb = (a / b) ** (b / (b - 1.0)), e * b  # y^b = cb x^eb
 
     def excess(x):  # h(x) - 1, and y(x)
-        y = c * x**e
-        return x**a + y**b - 1.0, y
+        return x**a + cb * x**eb - 1.0, c * x**e
 
     lo, hi, mid = 0.0, 1.0, 0.5
     while lo < mid < hi:

@@ -47,7 +47,9 @@ from .spaces import _TINY, INF, WeightedLp, holder_conjugate
 DEFAULT_SEED = 0x4841524459  # ascii bytes of "HARDY"; reproducible tables
 
 _MAX_ITER = 10_000
-_ORACLE_CHUNK_ROWS = 1 << 16  # coarse-scan rows per chunk; 1/4x to 4x of it ran within 15 % (dim 3)
+# coarse-scan rows per chunk; at dim 3, 1/4x of it ran as fast and 4x ran
+# 30-70 % slower, at tracemalloc peaks of 1.1, 3.6 and 12 MiB for 1/4x, 1x, 4x
+_ORACLE_CHUNK_ROWS = 1 << 16
 
 
 @dataclass
@@ -693,18 +695,19 @@ def operator_norm(
 
 
 def _oracle_scan(a: np.ndarray, disc: np.ndarray, p: float):
-    """The oracle's coarse scan: ||A x||_p / ||x||_p on the faces of the
-    l^inf sphere.  On face k, x_k = 1 and the other coordinates run over
-    every tuple of points of `disc` (complex, |z| <= 1), the last varying
-    fastest; face 0 comes first.  Output row i of A x is a_ik + sum_j a_ij
-    z_j, an outer sum of the tables a_ij * disc, and ||x||_p^p = 1 + sum_j
-    |z_j|^p is an outer sum of the table |disc|^p; ||x||_inf = 1.  The
-    |.|^p of the output rows are added over i (the max is taken at p = inf),
-    chunk by chunk along the first free coordinate, so no array of all the
-    scan's points is built."""
+    """The oracle's coarse scan: yields ||A x||_p / ||x||_p on the faces of
+    the l^inf sphere, chunk by chunk in scan order.  On face k, x_k = 1 and
+    the other coordinates run over every tuple of points of `disc` (complex,
+    |z| <= 1), the last varying fastest; face 0 comes first.  Output row i of
+    A x is a_ik + sum_j a_ij z_j, an outer sum of the tables a_ij * disc, and
+    ||x||_p^p = 1 + sum_j |z_j|^p is an outer sum of the table |disc|^p;
+    ||x||_inf = 1.  The |.|^p of the output rows are added over i (the max
+    is taken at p = inf).  A chunk spans `_ORACLE_CHUNK_ROWS` rows, a run of
+    points of the first free coordinate, and every value is computed
+    elementwise, so its bits do not depend on the chunking.  No array of all
+    the scan's points is built: a caller that streams the chunks
+    (`_streamed_top`) needs memory O(chunk), whatever the resolution."""
     dim, n = a.shape[0], disc.size
-    vals = np.empty(dim * n ** (dim - 1))
-    faces = vals.reshape((dim,) + (n,) * (dim - 1))
     if p != INF:
         powers = np.abs(disc) ** p
     per_chunk = max(1, _ORACLE_CHUNK_ROWS // n ** (dim - 2))
@@ -712,14 +715,13 @@ def _oracle_scan(a: np.ndarray, disc: np.ndarray, p: float):
         free = [j for j in range(dim) if j != k]
         for lo in range(0, n, per_chunk):
             lead = disc[lo : lo + per_chunk]
-            out = faces[k, lo : lo + len(lead)]
             for i in range(dim):
                 tables = [a[i, k] + a[i, free[0]] * lead] + [a[i, j] * disc for j in free[1:]]
                 t = np.abs(reduce(np.add.outer, tables))
                 if p != INF:
                     t **= p
                 if i == 0:
-                    out[:] = t
+                    out = t
                 elif p == INF:
                     np.maximum(out, t, out=out)
                 else:
@@ -727,28 +729,43 @@ def _oracle_scan(a: np.ndarray, disc: np.ndarray, p: float):
             if p != INF:
                 out /= reduce(np.add.outer, [1.0 + powers[lo : lo + len(lead)]] + [powers] * (dim - 2))
                 out **= 1.0 / p
-    return vals
+            yield out.ravel()
 
 
-def _ranked_top(vals: np.ndarray, k: int) -> np.ndarray:
-    """The indices of the k largest values, and of every value tied with the
-    k-th, by value descending and then index ascending: a prefix of
-    np.argsort(-vals, kind="stable"), found by a partial selection."""
-    k = min(k, vals.size)
-    cut = np.partition(vals, vals.size - k)[vals.size - k]
-    top = np.flatnonzero(vals >= cut)
-    return top[np.argsort(-vals[top], kind="stable")]
+def _streamed_top(chunks, k: int):
+    """Stream the scan's `chunks` into a running top-k: the indices of the k
+    largest values and of every value tied with the k-th, ranked by value
+    descending and then index ascending (a prefix of
+    np.argsort(-vals, kind="stable") of the concatenated chunks), their
+    values, and the scan's size.  A value below the k-th largest seen so far
+    is never kept, so memory is O(chunk + k)."""
+    idx, top = np.empty(0, dtype=np.intp), np.empty(0)
+    cut, seen = -np.inf, 0
+    for chunk in chunks:
+        new = np.flatnonzero(chunk >= cut)
+        # the kept indices stay ascending: earlier chunks come first
+        idx, top = np.concatenate([idx, seen + new]), np.concatenate([top, chunk[new]])
+        seen += chunk.size
+        if top.size > k:
+            cut = np.partition(top, top.size - k)[top.size - k]
+            keep = top >= cut
+            idx, top = idx[keep], top[keep]
+    order = np.argsort(-top, kind="stable")
+    return idx[order], top[order], seen
 
 
-def _oracle_seeds(vals: np.ndarray, points, n_seeds: int, min_sep: float) -> np.ndarray:
-    """Walk down the ranking of `vals` and take each index whose point
-    (`points(indices)` gives their rows) lies at least `min_sep` away, in the
-    max norm, from every index taken before, until `n_seeds` are taken.  The
-    walk runs on the top 4096 values, widened fourfold while it yields too
-    few seeds, up to the whole scan."""
+def _oracle_seeds(scan, points, n_seeds: int, min_sep: float):
+    """Walk down the ranking of the values that `scan()` yields, chunk by
+    chunk, and take each index whose point (`points(indices)` gives their
+    rows) lies at least `min_sep` away, in the max norm, from every index
+    taken before, until `n_seeds` are taken; returns their indices and
+    values.  The walk runs on the top 4096 and their ties, streamed from the
+    scan in memory O(chunk + k) (`_streamed_top`); while it yields too few
+    seeds, it rescans the matrix with k four times larger, up to the whole
+    scan."""
     k = 4096
     while True:
-        ranked = _ranked_top(vals, k)
+        ranked, top, size = _streamed_top(scan(), k)
         pts = points(ranked)
         free = np.ones(len(ranked), dtype=bool)
         taken = []
@@ -756,8 +773,8 @@ def _oracle_seeds(vals: np.ndarray, points, n_seeds: int, min_sep: float) -> np.
             j = int(np.argmax(free))  # the first candidate still far enough
             taken.append(j)
             free &= np.abs(pts - pts[j]).max(axis=1) >= min_sep
-        if len(taken) == n_seeds or k >= vals.size:
-            return ranked[taken]
+        if len(taken) == n_seeds or len(ranked) == size:
+            return ranked[taken], top[taken]
         k *= 4
 
 
@@ -775,6 +792,10 @@ def brute_force_oracle(matrix: np.ndarray, p: float, resolution: int | None = No
     blocked by a seed of another face, seed a compass search on (u, v) of
     every free coordinate; the seeds are ranked by value and then by scan
     index (`_oracle_seeds`), so ties do not leave their choice to the sort.
+    The scan is streamed into a running top-k that keeps every value tied
+    with the k-th (`_streamed_top`), so the oracle's memory is O(chunk + k)
+    whatever the `resolution`; when the top k give too few seeds, the walk
+    rescans the matrix with k four times larger.
     All seeds climb as one batch, each with its own step, unconstrained,
     except that at p = inf each z is mapped to z / max(1, |z|): there the
     norm max(1, |z|) has a ridge at |z| = 1 that stalls axis moves.  The
@@ -874,7 +895,9 @@ def brute_force_oracle(matrix: np.ndarray, p: float, resolution: int | None = No
         z = disc[np.stack(np.unravel_index(idx % per_face, (disc.size,) * (dim - 1)), axis=-1)]
         return np.hstack([(idx // per_face)[:, None] * min_sep, z.view(float)])
 
-    vals = _oracle_scan(a, disc, p)
-    seeds = _oracle_seeds(vals, points, 6 if dim == 2 else 16, min_sep)
-    best = compass(seeds // per_face, points(seeds)[:, 1:], vals[seeds]).max()
+    def scan():
+        return _oracle_scan(a, disc, p)
+
+    seeds, vals = _oracle_seeds(scan, points, 6 if dim == 2 else 16, min_sep)
+    best = compass(seeds // per_face, points(seeds)[:, 1:], vals).max()
     return float(np.ldexp(best, expo))

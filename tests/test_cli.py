@@ -48,6 +48,13 @@ class TestConstantsCommand:
         assert np.all(np.diff(cs[: i_min + 1]) <= 1e-12)
         assert np.all(np.diff(cs[i_min:]) >= -1e-12)
 
+    def test_franchetti_near_one_and_far_out_reads_near_two(self, capsys):
+        code, out, _ = run_cli(["constants", "--p", "1.00000001,1e8", "--q", "2"], capsys)
+        assert code == 0
+        cs = [float(r["franchetti_cp"]) for r in parse_csv(out)[1]]
+        assert all(1.9999997 < c < 2.0 for c in cs)
+        assert abs(cs[0] - cs[1]) <= 1e-9
+
     def test_range_has_no_float_drift(self, capsys):
         assert cli._parse_range("1.1:4.0:0.1") == [round(1.1 + 0.1 * i, 1) for i in range(30)]
         code, out, _ = run_cli(["constants", "--p", "1.1:1.5:0.1"], capsys)
@@ -237,6 +244,50 @@ class TestOpnormCommand:
         assert code == 1
         assert out == ""
         assert err == "error: phi table extension did not stabilize\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["opnorm", "--kernel", "fejer:8", "-N", "16", "--p", "3"],
+            ["opnorm", "--kernel", "fejer:15", "-N", "16", "--p", "3"],
+            ["opnorm", "--kernel", "fejer:40", "-N", "16", "--p", "2"],
+            ["opnorm", "--kernel", "fejer:8", "--space", "hp", "-N", "16", "-d", "2", "--p", "3"],
+            ["opnorm", "--kernel", "poisson:0.99", "-N", "16", "--p", "3"],
+            ["opnorm", "--kernel", "poisson:0.9", "-N", "256", "--p", "3"],
+            ["sweep", "--problem", "problem1", "-N", "32", "-d", "4", "--q", "20", "--p", "3"],
+            ["sweep", "--problem", "problem1", "-N", "32", "-d", "4", "--q", "0,16", "--p", "3"],
+            ["verify", "two-sided", "-N", "8"],
+        ],
+    )
+    def test_kernel_the_grid_cannot_represent_rejected_before_any_grid(
+        self, capsys, monkeypatch, argv
+    ):
+        # an aliased Fejer band or a Poisson kernel without unit mass is not
+        # the kernel the proven bounds hold for
+        def no_grid(n_points):
+            raise AssertionError("a grid was built for a kernel it cannot represent")
+
+        monkeypatch.setattr(cli, "make_grid", no_grid)
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Fejer order" in err or "Poisson radius" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["opnorm", "--kernel", "fejer:7", "-N", "16", "--p", "3"],
+            ["opnorm", "--kernel", "poisson:0.5", "-N", "256", "--p", "3", "--starts", "4"],
+            ["sweep", "--problem", "problem1", "-N", "41", "-d", "2", "--q", "20", "--p", "3",
+             "--starts", "2"],
+        ],
+    )
+    def test_kernel_that_fits_runs(self, capsys, argv):
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        for row in parse_csv(out)[1]:
+            assert float(row["estimate"]) <= float(row["upper_analytic"]) + 1e-6
 
     def test_bad_kernel_is_usage_error(self, capsys):
         code, _, err = run_cli(

@@ -92,6 +92,24 @@ class TestFranchetti:
         with pytest.raises(ValueError):
             franchetti_cp(0.9)
 
+    def test_large_p_tends_to_two(self):
+        # the powers of alpha and 1 - alpha underflow here unless the larger
+        # of the two is factored out; C_p would then read 1
+        ps = [1e6, 1e7, 1e8, 1e12, 1e300]
+        vals = [franchetti_cp(p).value for p in ps]
+        assert all(a <= b for a, b in zip(vals, vals[1:]))
+        assert 2.0 - 1e-9 <= vals[-1] < 2.0
+        for p, c in zip(ps, vals):
+            assert abs(c - franchetti_cp(holder_conjugate(p)).value) <= 1e-9
+
+    # values at the default scan before the factored objective, to 1e-12
+    PINNED = [(1.1, 1.5782633397482997), (1.5, 1.0957314336981363),
+              (2.5, 1.0348817249893631), (3.0, 1.0957314336981363), (4.0, 1.211565031277261)]
+
+    def test_pinned_values(self):
+        for p, value in self.PINNED:
+            assert abs(franchetti_cp(p).value - value) <= 1e-12 * value
+
 
 class TestInterpolationUpper:
     def test_exact_values(self):
@@ -140,6 +158,21 @@ class TestGamma:
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             gamma_pq(1.0, 2.0)
+
+    @pytest.mark.parametrize("q", [1.5, 2.0, 3.0])
+    def test_large_p_tends_to_two(self, q):
+        # y rounds to 1 for large p, and y**p would read 0 or 1
+        vals = [gamma_pq(p, q).value for p in (1e16, 1e17, 1e18, 1e20, 1e300)]
+        assert all(a <= b for a, b in zip(vals, vals[1:]))
+        assert 2.0 - 1e-14 <= vals[0] and vals[-1] == 2.0
+
+    # values before y^b was taken as c^b x^{eb}, to 1e-12
+    PINNED = [((1.1, 4.0), 1.4863393175617603), ((1.5, 2.5), 1.407565958513588),
+              ((1.7, 3.1), 1.4894736080194853), ((2.5, 4.0), 1.6111796104906229)]
+
+    def test_pinned_values(self):
+        for (p, q), value in self.PINNED:
+            assert abs(gamma_pq(p, q).value - value) <= 1e-12 * value
 
 
 class TestCpq:

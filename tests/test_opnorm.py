@@ -50,8 +50,8 @@ from hardybench.opnorm import (
     _grid_starts,
     _oracle_scan,
     _oracle_seeds,
-    _ranked_top,
     _row_lp,
+    _streamed_top,
     _subspace_exchange_ascent,
     certified_ratio,
 )
@@ -877,12 +877,15 @@ class TestBruteForceOracle:
                 assert abs(brute_force_oracle(m, p) - exact) <= 1e-12 * exact
 
     def test_not_below_certified_values(self):
-        # the oracle checks the power method, so it must not read below it
+        # the oracle checks the power method, so it must not read below it;
+        # and the two agree from both sides, well inside criterion 9's 5e-3
         for m in criterion_9_matrices():
             op = small_op(m)
             for p in (1.3, 2.0, 2.5, 4.0):
                 est = exact_norm_p2(op) if p == 2.0 else power_method_pnorm(op, p, starts=8)
-                assert brute_force_oracle(m, p) >= est.value * (1.0 - 1e-9)
+                oracle = brute_force_oracle(m, p)
+                assert oracle >= est.value * (1.0 - 1e-9)
+                assert abs(oracle - est.value) <= 1e-8 * est.value
 
     def test_maximiser_with_a_tiny_coordinate(self):
         # the maximiser's smaller coordinate has about 5e-4 of the p-mass,
@@ -950,8 +953,13 @@ class TestBruteForceOracle:
             assert abs(brute_force_oracle(m / 4.0, 1.05) - expected) <= 1e-12 * expected
 
     def test_dim3_memory(self):
+        # the scan streams into a top-k, so memory is O(chunk + k)
         m = np.array(self.PINNED[2][0])
-        assert _traced_peak(lambda: brute_force_oracle(m, 1.3)) < 100 * 2**20
+        assert _traced_peak(lambda: brute_force_oracle(m, 1.3)) < 8 * 2**20
+
+    def test_dim3_memory_does_not_grow_with_resolution(self):
+        m = np.array(self.PINNED[2][0])
+        assert _traced_peak(lambda: brute_force_oracle(m, 1.3, 4_000_000)) < 8 * 2**20
 
     @pytest.mark.parametrize("p", [np.nan, 0.5, -1.0])
     def test_exponent_outside_one_to_inf_rejected(self, p):
@@ -1020,6 +1028,11 @@ def reference_seeds(vals, points, n_seeds, min_sep):
     return seeds
 
 
+def oracle_chunks(vals, n_chunks=7):
+    """A scan for `_oracle_seeds`: yields `vals` afresh in uneven chunks."""
+    return lambda: iter(np.array_split(vals, n_chunks))
+
+
 class TestOracleScanAndSeeds:
     @pytest.mark.parametrize("p", [1.0, 1.3, 4.0, INF])
     @pytest.mark.parametrize("dim, k", [(2, 60), (3, 14)])
@@ -1029,7 +1042,10 @@ class TestOracleScanAndSeeds:
         assert disc.size % 7 != 0
         # chunks of 7 points of the first free coordinate, the last one partial
         monkeypatch.setattr(opnorm, "_ORACLE_CHUNK_ROWS", 7 * disc.size ** (dim - 2))
-        vals = _oracle_scan(a, disc, p)
+        chunks = list(_oracle_scan(a, disc, p))
+        per_face = [7] * (disc.size // 7) + [disc.size % 7]
+        assert [c.size for c in chunks] == [r * disc.size ** (dim - 2) for r in per_face] * dim
+        vals = np.concatenate(chunks)
         ref = materialised_scan(a, disc, p)
         assert vals.shape == ref.shape
         assert np.all(np.abs(vals - ref) <= 1e-13 * ref)
@@ -1042,17 +1058,43 @@ class TestOracleScanAndSeeds:
         yield np.zeros(500)
         for a in (np.eye(3), np.diag([2.0, 1.0, 1.0])):
             for p in (1.3, 4.0):
-                yield _oracle_scan(a.astype(complex), oracle_disc(14), p)
+                yield np.concatenate(list(_oracle_scan(a.astype(complex), oracle_disc(14), p)))
 
     def test_ranking_is_the_stable_sort(self):
         for vals in self.tied_arrays():
             order = np.argsort(-vals, kind="stable")
             for k in (1, 16, 4096, vals.size):
-                top = _ranked_top(vals, k)
-                assert top.size >= min(k, vals.size)
-                np.testing.assert_array_equal(top, order[: top.size])
-                # every value tied with the last one kept is kept too
-                assert top.size == np.count_nonzero(vals >= vals[top[-1]])
+                for n_chunks in (1, 7, 64):
+                    top, top_vals, size = _streamed_top(np.array_split(vals, n_chunks), k)
+                    assert size == vals.size
+                    assert top.size >= min(k, vals.size)
+                    np.testing.assert_array_equal(top, order[: top.size])
+                    np.testing.assert_array_equal(top_vals, vals[top])
+                    # every value tied with the last one kept is kept too
+                    assert top.size == np.count_nonzero(vals >= vals[top[-1]])
+
+    @pytest.mark.parametrize("dim, p", [(2, 1.3), (3, 1.3), (3, 4.0), (3, INF)])
+    def test_streamed_scan_ranks_as_the_materialised_scan(self, monkeypatch, dim, p):
+        # identity-like matrices tie most of the scan; small chunks split
+        # every tied run across many chunk boundaries
+        disc = oracle_disc(14)
+        a = np.diag([2.0] + [1.0] * (dim - 1)).astype(complex)
+        whole = np.concatenate(list(_oracle_scan(a, disc, p)))
+        chunk = 5 * disc.size ** (dim - 2)
+        monkeypatch.setattr(opnorm, "_ORACLE_CHUNK_ROWS", chunk)
+        # the values keep their bits whatever the chunking
+        np.testing.assert_array_equal(np.concatenate(list(_oracle_scan(a, disc, p))), whole)
+        order = np.argsort(-whole, kind="stable")
+        for k in (1, 16, 4096):
+            k = min(k, whole.size - 1)
+            top, top_vals, size = _streamed_top(_oracle_scan(a, disc, p), k)
+            assert size == whole.size
+            np.testing.assert_array_equal(top, order[: top.size])
+            np.testing.assert_array_equal(top_vals, whole[top])
+            assert top.size == np.count_nonzero(whole >= whole[top[-1]])
+            # the values tied with the k-th run across chunk boundaries
+            tied = np.flatnonzero(whole == whole[top[-1]])
+            assert np.unique(tied // chunk).size > 1
 
     def test_seeds_match_the_greedy_walk(self):
         for vals in self.tied_arrays():
@@ -1062,19 +1104,28 @@ class TestOracleScanAndSeeds:
                 return pts[idx][:, None]
 
             for n_seeds, min_sep in ((6, 0.05), (16, 0.01)):
-                seeds = _oracle_seeds(vals, points, n_seeds, min_sep)
+                seeds, seed_vals = _oracle_seeds(oracle_chunks(vals), points, n_seeds, min_sep)
                 assert list(seeds) == reference_seeds(vals, points, n_seeds, min_sep)
+                np.testing.assert_array_equal(seed_vals, vals[seeds])
 
     def test_seeds_widen_past_a_clustered_top(self):
-        # the 5000 largest values share one basin, so the top 4096 give one seed
+        # the 5000 largest values share one basin, so the top 4096 give one
+        # seed; each widening runs the scan again
         vals = -np.arange(20_000.0)
 
         def points(idx):
             return (idx // 5000).astype(float)[:, None]
 
-        seeds = _oracle_seeds(vals, points, 4, 1.0)
-        assert list(seeds) == [0, 5000, 10_000, 15_000]
-        assert list(_oracle_seeds(vals, points, 6, 1.0)) == [0, 5000, 10_000, 15_000]
+        for n_seeds, scans in ((4, 2), (6, 3)):
+            runs = []
+
+            def scan():
+                runs.append(1)
+                return oracle_chunks(vals)()
+
+            seeds, _ = _oracle_seeds(scan, points, n_seeds, 1.0)
+            assert list(seeds) == [0, 5000, 10_000, 15_000]
+            assert len(runs) == scans
 
 
 class TestTiedStarts:
