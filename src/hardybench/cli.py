@@ -27,10 +27,21 @@ from .constants import franchetti_cp, gamma_pq, interpolation_upper, lambda_pq
 from .errors import InternalInconsistencyError
 from .grid import make_grid, synthesize
 from .kernels import KernelSpec, kernel_l1_norm
-from .operators import analytic_restriction, convolution_operator, identity_minus, substitute_fm
-from .opnorm import DEFAULT_SEED, operator_norm
+from .operators import (
+    analytic_restriction,
+    backward_shift,
+    convolution_operator,
+    identity_minus,
+    substitute_fm,
+)
+from .opnorm import DEFAULT_SEED, certified_ratio, operator_norm
 from .outer import WeightSpec, conjugate_function, isometry_check, outer_function
-from .problems import backward_shift_estimate, fejer_hp_estimate, fejer_lp_estimate
+from .problems import (
+    backward_shift_estimate,
+    fejer_difference_operator,
+    fejer_hp_estimate,
+    fejer_lp_estimate,
+)
 from .spaces import (
     INF,
     Lp,
@@ -256,15 +267,29 @@ def cmd_sweep(cfg: RunConfig) -> tuple[list[dict], list[dict]]:
             return backward_shift_estimate(d, p, g, starts=cfg.starts, seed=cfg.seed)
         return fejer_hp_estimate(n, p, d, g, starts=cfg.starts, seed=cfg.seed)
 
+    def operator(n, d):
+        if n is None:
+            return backward_shift(d, g)
+        return analytic_restriction(fejer_difference_operator(n, g), d)
+
     rows = []
     for p in sorted(ps):
         upper = 2.0 if cfg.problem == "problem2" else interpolation_upper(p)
         for n in orders:
-            # each row needs degrees d and 2d; solve each distinct degree once
-            values = {
-                d: estimate(n, p, d).value
-                for d in sorted(set(degrees) | {2 * d for d in degrees})
-            }
+            # each row needs degrees d and 2d; solve each distinct degree once.
+            # The subspaces are nested, so the witness of each degree,
+            # zero-padded, certifies at the next one and keeps the values
+            # monotone in degree.
+            values, witness = {}, None
+            for d in sorted(set(degrees) | {2 * d for d in degrees}):
+                est = estimate(n, p, d)
+                values[d], best = est.value, est.witness
+                if witness is not None:
+                    padded = np.pad(witness, (0, d + 1 - witness.size))
+                    replay = certified_ratio(operator(n, d), padded, p)
+                    if replay > values[d]:
+                        values[d], best = replay, padded
+                witness = best
             for d in degrees:
                 rows.append(
                     {
@@ -323,6 +348,7 @@ def _verify_convolution(cfg: RunConfig) -> list[dict]:
 
 
 _TWO_SIDED_ORDERS = (0, 1, 2, 4)
+_TWO_SIDED_MIN_GRID = 64
 
 
 def _verify_two_sided(cfg: RunConfig) -> list[dict]:
@@ -543,6 +569,13 @@ def _check_usage(cfg: RunConfig) -> None:
         kernels = [KernelSpec.fejer(max(_TWO_SIDED_ORDERS))]
     for kernel in kernels:
         _check_kernel_fits(kernel, cfg.grid_size)
+    if cfg.suite == "two-sided" and cfg.grid_size < _TWO_SIDED_MIN_GRID:
+        # the brackets hold the continuum constant C_p, which smaller
+        # N-point models fall below
+        raise ValueError(
+            f"verify two-sided needs a grid of at least {_TWO_SIDED_MIN_GRID} points, "
+            f"got {cfg.grid_size}"
+        )
     reads_p = cfg.command in ("opnorm", "sweep") or cfg.suite == "monotone"
     if cfg.p and reads_p:
         ps = _parse_range(cfg.p) if cfg.command == "sweep" else [_parse_p(cfg.p)]

@@ -51,55 +51,15 @@ def fejer_lp_estimate(
 
     p in {1, 2, inf} use the exact formulas.  For other p and n >= 1, the
     best order-0 witness is resampled as x(theta) -> x((n+1) theta) and
-    replayed on the order-n operator; the better of the direct search and
-    the transferred certificate is returned.
+    handed to `_transfer`.
     """
     op_n = fejer_difference_operator(n, grid)
-    est = operator_norm(op_n, p, starts=starts, seed=seed)
-    if n >= 1 and est.is_certified_lower_bound:  # an exact value needs no transfer
-        op_0 = fejer_difference_operator(0, grid)
-        base = power_method_pnorm(op_0, p, starts=starts, seed=seed)
-        m = n + 1
-        idx = (m * np.arange(grid.n_points)) % grid.n_points
-        transferred = base.witness[idx]
-        est = _better(est, base, certified_ratio(op_n, transferred, p), transferred)
-    return est
-
-
-def _better(direct: NormEstimate, base: NormEstimate, value: float, witness) -> NormEstimate:
-    """The transferred certificate (value, witness) if it beats the direct
-    estimate, counting the base solve's starts and iterations; else direct."""
-    if value > direct.value:
-        return NormEstimate(
-            value=value,
-            witness=witness,
-            method="power",
-            n_starts=direct.n_starts + base.n_starts,
-            n_iters=direct.n_iters + base.n_iters,
-            converged=direct.converged and base.converged,
-        )
-    return direct
-
-
-def _polish_subspace(op, witness, p, seed):
-    """Perturb a (possibly saddle-point) witness by 4 random bumps of 1e-3
-    relative size and re-ascend; returns the best certified ratio and
-    witness."""
-    best_val = certified_ratio(op, witness, p)
-    best_w = witness
-    scale = np.linalg.norm(witness)
-    starts = []
-    for t in range(4):
-        rng = np.random.default_rng([seed, 7, t])
-        bump = rng.standard_normal(witness.size) + 1j * rng.standard_normal(witness.size)
-        starts.append(witness + 1e-3 * scale / np.linalg.norm(bump) * bump)
-    _, cands, _, _ = _ascend(_in_range(op, p), starts, p, 1e-12, 5000)
-    for cand in cands:
-        if np.any(cand != 0):
-            val = certified_ratio(op, cand, p)
-            if val > best_val:
-                best_val, best_w = val, cand
-    return best_val, best_w
+    direct = operator_norm(op_n, p, starts=starts, seed=seed)
+    if n == 0 or not direct.is_certified_lower_bound:  # an exact value needs no transfer
+        return direct
+    base = power_method_pnorm(fejer_difference_operator(0, grid), p, starts=starts, seed=seed)
+    idx = ((n + 1) * np.arange(grid.n_points)) % grid.n_points
+    return _transfer(op_n, p, direct, base, base.witness[idx], seed)
 
 
 def fejer_hp_estimate(
@@ -113,23 +73,55 @@ def fejer_hp_estimate(
     """Certified estimate of ||I - C_{K_n}|| on the degree-`degree` analytic
     subspace with the induced L^p norm, including substitution transfer.
 
-    For n >= 1 the order-0 problem is solved at base degree floor(d/(n+1)),
-    its witness is pushed through f -> f(z^{n+1}) into the degree-d space,
-    replayed on the order-n operator, and polished by perturbed re-ascent.
+    For n >= 1 the order-0 problem is solved at base degree floor(d/(n+1))
+    and its witness is pushed through f -> f(z^{n+1}) into the degree-d
+    space and handed to `_transfer`.
     """
     op_n = analytic_restriction(fejer_difference_operator(n, grid), degree)
     direct = operator_norm(op_n, p, starts=starts, seed=seed)
-    if n == 0 or not direct.is_certified_lower_bound:  # exact at p = 2
-        return direct
     m = n + 1
     base_degree = degree // m
-    if base_degree < 1:
+    if n == 0 or not direct.is_certified_lower_bound or base_degree < 1:  # exact at p = 2
         return direct
     op_0 = analytic_restriction(fejer_difference_operator(0, grid), base_degree)
     base = subspace_norm(op_0, p, starts=starts, seed=seed)
     transferred = np.zeros(degree + 1, dtype=complex)
     transferred[: m * base_degree + 1 : m] = base.witness  # f -> f(z^m)
-    return _better(direct, base, *_polish_subspace(op_n, transferred, p, seed))
+    return _transfer(op_n, p, direct, base, transferred, seed)
+
+
+def _transfer(op, p, direct, base, witness, seed) -> NormEstimate:
+    """The better of the direct search `direct` and the order-0 solve `base`
+    carried to the order-n operator `op` as `witness`, on either basis.
+
+    The witness may sit on a lacunary saddle, so it is perturbed by 4
+    random bumps of 1e-3 relative size and re-ascended.  If the best
+    certified ratio among it and the ascended bumps beats `direct`, it is
+    returned with the starts and iterations of both solves; else `direct`.
+    """
+    best_val, best_w = certified_ratio(op, witness, p), witness
+    scale = np.linalg.norm(witness)
+    bumps = []
+    for t in range(4):
+        rng = np.random.default_rng([seed, 7, t])
+        bump = rng.standard_normal(witness.size) + 1j * rng.standard_normal(witness.size)
+        bumps.append(witness + 1e-3 * scale / np.linalg.norm(bump) * bump)
+    _, cands, _, _ = _ascend(_in_range(op, p), bumps, p, 1e-12, 5000)
+    for cand in cands:
+        if np.any(cand != 0):
+            val = certified_ratio(op, cand, p)
+            if val > best_val:
+                best_val, best_w = val, cand
+    if best_val <= direct.value:
+        return direct
+    return NormEstimate(
+        value=best_val,
+        witness=best_w,
+        method="power",
+        n_starts=direct.n_starts + base.n_starts,
+        n_iters=direct.n_iters + base.n_iters,
+        converged=direct.converged and base.converged,
+    )
 
 
 def backward_shift_estimate(

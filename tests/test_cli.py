@@ -341,6 +341,18 @@ class TestSweepCommand:
         assert code == 0
         assert len(seen) == calls
 
+    def test_estimates_monotone_in_degree(self, capsys):
+        # nested subspaces: each degree's witness, zero-padded, certifies at
+        # the next, so no row reads less at 2d than at d
+        code, out, _ = run_cli(
+            ["sweep", "--problem", "problem1", "--p", "1,inf", "--q", "1,2",
+             "-N", "512", "-d", "16"],
+            capsys,
+        )
+        assert code == 0
+        rows = parse_csv(out)[1]
+        assert all(float(r["estimate_2d"]) >= float(r["estimate"]) for r in rows)
+
     def test_rows_sorted_by_parameters(self, capsys):
         code, out, _ = run_cli(
             ["sweep", "--problem", "problem1", "--p", "3,1.5", "--q", "1,0",
@@ -368,6 +380,26 @@ class TestVerifyCommand:
         assert code == 0
         _, rows = parse_csv(out)
         assert all(r["passed"] == "True" for r in rows)
+
+    @pytest.mark.parametrize("n_grid", ["16", "32", "48", "63"])
+    def test_two_sided_below_grid_floor_rejected_before_any_grid(
+        self, capsys, monkeypatch, n_grid
+    ):
+        # the brackets hold continuum constants, which small N-point models
+        # fall below
+        def no_grid(n_points):
+            raise AssertionError("a grid was built below the two-sided grid floor")
+
+        monkeypatch.setattr(cli, "make_grid", no_grid)
+        code, out, err = run_cli(["verify", "two-sided", "-N", n_grid], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: verify two-sided needs a grid of at least 64 points, got {n_grid}\n"
+
+    def test_two_sided_passes_at_grid_floor(self, capsys):
+        code, out, _ = run_cli(["verify", "two-sided", "-N", "64"], capsys)
+        assert code == 0
+        assert all(r["passed"] == "True" for r in parse_csv(out)[1])
 
     @pytest.mark.parametrize("p", ["1.5", "inf"])
     def test_monotone_on_a_coarse_grid(self, capsys, p):

@@ -48,6 +48,7 @@ from hardybench.opnorm import (
     _dual_ascent,
     _dual_map,
     _grid_starts,
+    _in_range,
     _oracle_scan,
     _oracle_seeds,
     _row_lp,
@@ -1187,3 +1188,32 @@ class TestEstimatesRespectExactValues:
                 est = power_method_pnorm(small_op(m), p, starts=4)
                 oracle = brute_force_oracle(m, p)
                 assert abs(est.value - oracle) < 5e-3
+
+
+@pytest.fixture(scope="module")
+def grid_transfer():
+    """fejer_lp_estimate at N = 512, memoised by (n, p)."""
+    g, cache = make_grid(512), {}
+
+    def estimate(n, p):
+        if (n, p) not in cache:
+            cache[n, p] = fejer_lp_estimate(n, p, g)
+        return cache[n, p]
+
+    return estimate
+
+
+class TestGridWitnessTransfer:
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_dual_exponents_agree(self, grid_transfer, n):
+        # I - K_n is self-adjoint, so its l^p and l^p' norms are equal
+        a, b = grid_transfer(n, 1.5).value, grid_transfer(n, 3.0).value
+        assert abs(a - b) <= 1e-9 * max(a, b)
+
+    def test_returned_witness_is_stationary(self, grid_transfer):
+        # the transferred witness x((n+1) theta) is re-ascended, so one more
+        # ascent from the returned witness gains nothing
+        est = grid_transfer(1, 1.5)
+        op = fejer_difference_operator(1, make_grid(512))
+        _, xs, _, _ = _ascend(_in_range(op, 1.5), [est.witness], 1.5, 1e-12, 5000)
+        assert certified_ratio(op, xs[0], 1.5) - est.value < 1e-10 * est.value
