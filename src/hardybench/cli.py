@@ -272,9 +272,15 @@ def cmd_sweep(cfg: RunConfig) -> tuple[list[dict], list[dict]]:
             return backward_shift(d, g)
         return analytic_restriction(fejer_difference_operator(n, g), d)
 
+    # One bound serves both problems.  Problem1's I - K_n has the norms
+    # 2 - 2(n+1)/N on l^1_N and l^inf_N and 1 on l^2_N.  For problem2, with
+    # N > d, |S B c| = |(I - E_N) S c| pointwise (S synthesis, E_N the mean),
+    # and I - E_N has the norms 2 - 2/N on l^1_N and l^inf_N (its largest
+    # column and row sums) and 1 on l^2_N.  Complex Riesz-Thorin between
+    # l^2_N and either endpoint bounds both by 2^{|1-2/p|}.
     rows = []
     for p in sorted(ps):
-        upper = 2.0 if cfg.problem == "problem2" else interpolation_upper(p)
+        upper = interpolation_upper(p)
         for n in orders:
             # each row needs degrees d and 2d; solve each distinct degree once.
             # The subspaces are nested, so the witness of each degree,

@@ -15,8 +15,6 @@ import numpy as np
 
 from .errors import DegreeExceedsGridError
 
-DEFAULT_GRID_SIZE = 4096
-
 
 @dataclass(frozen=True, eq=False)
 class CircleGrid:
@@ -104,17 +102,16 @@ def analyze(f: SampledFunction, degree: int) -> FourierCoeffs:
 
 
 def synthesize(c: FourierCoeffs, grid: CircleGrid) -> SampledFunction:
-    """Point samples f(theta_j) = sum_k c_k e^{ik theta_j}."""
+    """Point samples f(theta_j) = sum_k c_k e^{ik theta_j}.
+
+    Each c_k is added into FFT bin k mod N, which folds wavenumbers that
+    alias on the grid (2d + 1 > N) exactly, and the bins are inverted in
+    O(N log N).
+    """
     n = grid.n_points
-    d = c.degree
-    if n > 2 * d:
-        # place coefficients in FFT bins and invert; exact and O(N log N)
-        bins = np.zeros(n, dtype=complex)
-        bins[np.arange(-d, d + 1) % n] = c.coeffs
-        values = np.fft.ifft(bins) * n
-    else:
-        values = np.exp(1j * np.outer(grid.theta, c.wavenumbers)) @ c.coeffs
-    return SampledFunction(grid=grid, values=values)
+    bins = np.zeros(n, dtype=complex)
+    np.add.at(bins, c.wavenumbers % n, c.coeffs)
+    return SampledFunction(grid=grid, values=np.fft.ifft(bins) * n)
 
 
 def translate_coeffs(c: FourierCoeffs, angle: float) -> FourierCoeffs:

@@ -188,7 +188,7 @@ def analytic_restriction(op: OperatorRep, degree: int) -> OperatorRep:
     )
 
 
-def backward_shift(degree: int, grid: CircleGrid | None = None) -> OperatorRep:
+def backward_shift(degree: int, grid: CircleGrid) -> OperatorRep:
     """Coefficient map (c_0, c_1, ..., c_d) -> (c_1, ..., c_d, 0).
 
     On the circle this is f -> e^{-i theta} (f - mean(f)), so |Bf| equals
@@ -196,10 +196,6 @@ def backward_shift(degree: int, grid: CircleGrid | None = None) -> OperatorRep:
     """
     if degree < 1:
         raise ValueError(f"backward shift needs degree >= 1, got {degree}")
-    if grid is None:
-        from .grid import DEFAULT_GRID_SIZE, make_grid
-
-        grid = make_grid(DEFAULT_GRID_SIZE)
     matrix = np.zeros((degree + 1, degree + 1), dtype=complex)
     matrix[np.arange(degree), np.arange(1, degree + 1)] = 1.0
     return OperatorRep(matrix=matrix, basis="analytic", grid=grid, degree=degree)

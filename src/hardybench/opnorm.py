@@ -42,7 +42,7 @@ from .operators import (
     analytic_synthesis,
     synthesis_matrix,
 )
-from .spaces import _TINY, INF, WeightedLp, holder_conjugate
+from .spaces import _TINY, INF, WeightedLp, _row_lp, holder_conjugate
 
 DEFAULT_SEED = 0x4841524459  # ascii bytes of "HARDY"; reproducible tables
 
@@ -70,33 +70,8 @@ class NormEstimate:
 
 
 # ---------------------------------------------------------------------------
-# plain vector norms and duality maps (uniform weights cancel in ratios)
+# duality maps; vector norms are spaces._row_lp (uniform weights cancel in ratios)
 # ---------------------------------------------------------------------------
-
-
-def _row_lp(v: np.ndarray, p: float) -> np.ndarray:
-    """l^p norms along the last axis.  A row whose sum of |v|^p falls outside
-    [smallest normal, inf) is summed again after division by its largest
-    modulus, so a finite row reads 0 or inf only when its norm does."""
-    a = np.abs(v).astype(float, copy=False)
-    if p == INF:
-        return np.max(a, axis=-1)
-    with np.errstate(over="ignore"):
-        a **= p
-    s = np.sum(a, axis=-1)
-    out = s ** (1.0 / p)
-    odd = (s < _TINY) | (s == INF)
-    if odd.any():
-        a = np.abs(v)
-        amax = np.max(a, axis=-1)
-        odd &= (amax > 0.0) & (amax < INF)
-        m = np.where(odd, amax, 1.0)
-        out = np.where(odd, m * np.sum((a / m[..., None]) ** p, axis=-1) ** (1.0 / p), out)
-    return out
-
-
-def _vec_lp(v: np.ndarray, p: float) -> float:
-    return float(_row_lp(v, p))
 
 
 def _dual_map(y: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
@@ -161,10 +136,10 @@ def certified_ratio(op: OperatorRep, witness: np.ndarray, p: float) -> float:
     """||T A c||_p / ||T c||_p at c = witness: the norm ratio in the
     operator's own domain, always a lower bound."""
     t = _SampleMap(op)
-    d = _vec_lp(t(witness), p)
+    d = _row_lp(t(witness), p)
     if d == 0.0:
         raise ValueError("certificate witness must be nonzero")
-    return _vec_lp(t(op.apply(witness)), p) / d
+    return float(_row_lp(t(op.apply(witness)), p) / d)
 
 
 def lower_bound_certificate(op: OperatorRep, f: np.ndarray, p: float) -> NormEstimate:
@@ -622,7 +597,7 @@ def _subspace_exchange_ascent(op, e_mat, c0):
     e_adj = e_mat.conj().T
 
     def sup(c):  # the sup norm of the synthesis of c
-        return _vec_lp(e_mat @ c, INF)
+        return _row_lp(e_mat @ c, INF)
 
     def ratio(c):
         den = sup(c)

@@ -30,11 +30,25 @@ _TINY = np.finfo(float).tiny  # the smallest normal double
 # ---------------------------------------------------------------------------
 
 
-def _weighted_lp(values: np.ndarray, p: float, quad_weight: float) -> float:
-    a = np.abs(values)
+def _row_lp(v: np.ndarray, p: float) -> np.ndarray:
+    """l^p norms along the last axis.  A row whose sum of |v|^p falls outside
+    [smallest normal, inf) is summed again after division by its largest
+    modulus, so a finite row reads 0 or inf only when its norm does."""
+    a = np.abs(v).astype(float, copy=False)
     if p == INF:
-        return float(np.max(a))
-    return float((quad_weight * np.sum(a**p)) ** (1.0 / p))
+        return np.max(a, axis=-1)
+    with np.errstate(over="ignore"):
+        a **= p
+    s = np.sum(a, axis=-1)
+    out = s ** (1.0 / p)
+    odd = (s < _TINY) | (s == INF)
+    if odd.any():
+        a = np.abs(v)
+        amax = np.max(a, axis=-1)
+        odd &= (amax > 0.0) & (amax < INF)
+        m = np.where(odd, amax, 1.0)
+        out = np.where(odd, m * np.sum((a / m[..., None]) ** p, axis=-1) ** (1.0 / p), out)
+    return out
 
 
 def lp_norm(f: SampledFunction, p: float, weight: SampledFunction | None = None) -> float:
@@ -47,7 +61,8 @@ def lp_norm(f: SampledFunction, p: float, weight: SampledFunction | None = None)
     values = f.values
     if weight is not None:
         values = values * _weight_values(weight)
-    return _weighted_lp(values, p, f.grid.quad_weight)
+    norm = float(_row_lp(values, p))
+    return norm if p == INF else norm * f.grid.quad_weight ** (1.0 / p)
 
 
 def _weight_values(weight: SampledFunction) -> np.ndarray:
@@ -102,7 +117,7 @@ def lorentz_norm(f: SampledFunction, p: float, q: float) -> float:
     n = star.size
     t = np.arange(n + 1) / n
     pieces = (p / q) * np.diff(t ** (q / p))
-    return float(np.sum(pieces * star**q) ** (1.0 / q))
+    return float(_row_lp(star * pieces ** (1.0 / q), q))
 
 
 # ---------------------------------------------------------------------------

@@ -91,6 +91,14 @@ class TestSynthesize:
         assert np.max(np.abs(from_coeffs.values - closed.values)) < 1e-12
 
 
+    def test_aliased_degree_matches_direct_sum(self, grid64, rng):
+        # 2d + 1 > N: wavenumbers k and k +- 64 share a bin and add there
+        c = random_coeffs(rng, 40)
+        f = synthesize(c, grid64)
+        direct = np.exp(1j * np.outer(grid64.theta, c.wavenumbers)) @ c.coeffs
+        assert np.max(np.abs(f.values - direct)) <= 1e-12 * np.max(np.abs(direct))
+
+
 class TestTranslate:
     def test_zero_angle_identity(self, grid64, rng):
         f = synthesize(random_coeffs(rng, 6), grid64)

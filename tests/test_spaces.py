@@ -104,6 +104,20 @@ class TestLpNorm:
                 WeightedLp(2.0, w)
 
 
+@pytest.mark.parametrize("c", [1e155, 1e-170])
+def test_constant_whose_power_sum_leaves_the_floats(grid64, c):
+    # 64 c^p overflows or underflows for p in {2, 3}; every norm of a
+    # constant still reads the constant (Lorentz: c (p/q)^{1/q})
+    f = SampledFunction(grid64, np.full(64, c + 0j))
+    one = SampledFunction(grid64, np.ones(64, dtype=complex))
+    coeffs = FourierCoeffs(3, np.array([0, 0, 0, c, 0, 0, 0], dtype=complex))
+    norms = [lp_norm(f, 2.0), lp_norm(f, 3.0), hp_norm(coeffs, 2.0, grid64),
+             hp_norm(coeffs, 3.0, grid64), WeightedLp(2.0, one).norm(f),
+             lorentz_norm(f, 3.0, 2.0) / 1.5**0.5]
+    for value in norms:
+        assert abs(value - c) <= 1e-13 * c
+
+
 class TestRearrangement:
     def test_constant(self, grid64):
         f = SampledFunction(grid64, np.full(64, -3.0 + 0j))
