@@ -272,16 +272,22 @@ def cmd_sweep(cfg: RunConfig) -> tuple[list[dict], list[dict]]:
             return backward_shift(d, g)
         return analytic_restriction(fejer_difference_operator(n, g), d)
 
-    # One bound serves both problems.  Problem1's I - K_n has the norms
-    # 2 - 2(n+1)/N on l^1_N and l^inf_N and 1 on l^2_N.  For problem2, with
-    # N > d, |S B c| = |(I - E_N) S c| pointwise (S synthesis, E_N the mean),
-    # and I - E_N has the norms 2 - 2/N on l^1_N and l^inf_N (its largest
-    # column and row sums) and 1 on l^2_N.  Complex Riesz-Thorin between
-    # l^2_N and either endpoint bounds both by 2^{|1-2/p|}.
+    # Problem1's I - K_n has the norms 2 - 2(n+1)/N on l^1_N and l^inf_N
+    # (its largest column and row sums: K_n >= 0 has mass 1 and K_n(0) =
+    # n+1 <= N) and 1 on l^2_N.  For problem2, with N > d, |S B c| =
+    # |(I - E_N) S c| pointwise (S synthesis, E_N the mean), and I - E_N has
+    # the norms 2 - 2/N on l^1_N and l^inf_N and 1 on l^2_N: it is problem1
+    # at n = 0.  Complex Riesz-Thorin between l^2_N and either endpoint
+    # bounds the row by (2 - 2(n+1)/N)^{|1-2/p|}, and a restriction to the
+    # degree-d section raises no norm.
+    def upper_bound(n, p):
+        endpoint = 2.0 - 2.0 * (1 if n is None else n + 1) / cfg.grid_size
+        return endpoint ** (1.0 if p == INF else abs(1.0 - 2.0 / p))
+
     rows = []
     for p in sorted(ps):
-        upper = interpolation_upper(p)
         for n in orders:
+            upper = upper_bound(n, p)
             # each row needs degrees d and 2d; solve each distinct degree once.
             # The subspaces are nested, so the witness of each degree,
             # zero-padded, certifies at the next one and keeps the values

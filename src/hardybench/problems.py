@@ -97,7 +97,8 @@ def _transfer(op, p, direct, base, witness, seed) -> NormEstimate:
     The witness may sit on a lacunary saddle, so it is perturbed by 4
     random bumps of 1e-3 relative size and re-ascended.  If the best
     certified ratio among it and the ascended bumps beats `direct`, it is
-    returned with the starts and iterations of both solves; else `direct`.
+    returned with the starts and iterations of both solves and of the 4
+    bumps' ascent; else `direct`.
     """
     best_val, best_w = certified_ratio(op, witness, p), witness
     scale = np.linalg.norm(witness)
@@ -106,7 +107,7 @@ def _transfer(op, p, direct, base, witness, seed) -> NormEstimate:
         rng = np.random.default_rng([seed, 7, t])
         bump = rng.standard_normal(witness.size) + 1j * rng.standard_normal(witness.size)
         bumps.append(witness + 1e-3 * scale / np.linalg.norm(bump) * bump)
-    _, cands, _, _ = _ascend(_in_range(op, p), bumps, p, 1e-12, 5000)
+    _, cands, iters, ok = _ascend(_in_range(op, p), bumps, p, 1e-12, 5000)
     for cand in cands:
         if np.any(cand != 0):
             val = certified_ratio(op, cand, p)
@@ -118,9 +119,9 @@ def _transfer(op, p, direct, base, witness, seed) -> NormEstimate:
         value=best_val,
         witness=best_w,
         method="power",
-        n_starts=direct.n_starts + base.n_starts,
-        n_iters=direct.n_iters + base.n_iters,
-        converged=direct.converged and base.converged,
+        n_starts=direct.n_starts + base.n_starts + len(bumps),
+        n_iters=direct.n_iters + base.n_iters + int(iters.sum()),
+        converged=direct.converged and base.converged and bool(ok.all()),
     )
 
 

@@ -23,6 +23,7 @@ _PHI_RANGE = (1e-12, 1e12)  # initial argument range of phi^{-1}
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _TINY = np.finfo(float).tiny  # the smallest normal double
+_SUBNORMAL = np.finfo(float).smallest_subnormal
 
 
 # ---------------------------------------------------------------------------
@@ -149,17 +150,15 @@ class PhiSpec:
         if not np.all(np.diff(self.y_table) > 0.0):
             raise InvalidGeneratorError("phi^{-1} table is not strictly increasing")
         _check_convexity(self.x_table, self.y_table)
-
-    # -- evaluation ---------------------------------------------------------
+        object.__setattr__(self, "_log_x", np.log(self.x_table))  # the tables' logs,
+        object.__setattr__(self, "_log_y", np.log(self.y_table))  # taken once
 
     def phi(self, y: np.ndarray) -> np.ndarray:
         """phi(y) for y >= 0; exact zeros map to 0 (phi(0) = 0)."""
-        return _loglog(y, self.y_table, self.x_table)
+        return _loglog(y, self.y_table, self.x_table, self._log_y, self._log_x)
 
     def phi_inv(self, x: np.ndarray) -> np.ndarray:
-        return _loglog(x, self.x_table, self.y_table)
-
-    # -- table management ---------------------------------------------------
+        return _loglog(x, self.x_table, self.y_table, self._log_x, self._log_y)
 
     def extended_to(self, values: np.ndarray) -> "PhiSpec":
         """New PhiSpec whose phi-range covers all positive entries of `values`,
@@ -167,9 +166,7 @@ class PhiSpec:
         end that falls short moves, with headroom so that repeated
         extensions are rare; a table that covers them is returned as is."""
         if self.rho is None:
-            raise RangeExceededError(
-                "phi table has no generator attached; cannot auto-extend"
-            )
+            raise RangeExceededError("phi table has no generator attached; cannot auto-extend")
         pos = np.abs(values[np.abs(values) > 0.0])
         lo, hi = float(np.min(pos)), float(np.max(pos))
         # convert the needed phi-domain [lo, hi] to a phi^{-1}-domain bracket
@@ -189,7 +186,7 @@ class PhiSpec:
         return _build_phi(self.p, self.q, self.rho, self.theta, x_lo, x_hi)
 
 
-def _loglog(t, nodes: np.ndarray, values: np.ndarray) -> np.ndarray:
+def _loglog(t, nodes, values, log_nodes, log_values) -> np.ndarray:
     """The increasing table nodes -> values, read at t >= 0 linearly in
     log-log coordinates.  0 maps to 0, and so does t below the first node
     when the first value is below 2^-1021; other t outside raise."""
@@ -200,7 +197,7 @@ def _loglog(t, nodes: np.ndarray, values: np.ndarray) -> np.ndarray:
         tp = t[pos]
         if np.min(tp) < nodes[0] or np.max(tp) > nodes[-1]:
             raise RangeExceededError("argument outside the tabulated range; extend the table")
-        out[pos] = np.exp(np.interp(np.log(tp), np.log(nodes), np.log(values)))
+        out[pos] = np.exp(np.interp(np.log(tp), log_nodes, log_values))
     return out
 
 
@@ -259,17 +256,12 @@ def orlicz_modular(f: SampledFunction, phi: PhiSpec) -> float:
     Raises RangeExceededError when some |f_j| falls outside the tabulated
     range (extend the table, e.g. via phi.extended_to).
     """
-    return float(np.mean(phi.phi(np.abs(f.values))))
+    return _modular(np.abs(f.values), phi)
 
 
-def _modular_auto(values_abs: np.ndarray, phi: PhiSpec, scale: float) -> tuple[float, PhiSpec]:
-    """Modular of scale*|f|; one table extension covers every entry."""
-    scaled = values_abs * scale
-    try:
-        return float(np.mean(phi.phi(scaled))), phi
-    except RangeExceededError:
-        phi = phi.extended_to(scaled)
-    return float(np.mean(phi.phi(scaled))), phi
+def _modular(y: np.ndarray, phi: PhiSpec) -> float:
+    """The mean of phi(y), y >= 0."""
+    return float(np.mean(phi.phi(y)))
 
 
 def _normalised_modulus(f: SampledFunction) -> tuple[np.ndarray, int]:
@@ -283,6 +275,16 @@ def _normalised_modulus(f: SampledFunction) -> tuple[np.ndarray, int]:
     return np.ldexp(a, -e), e
 
 
+def _covering(phi: PhiSpec, a: np.ndarray, lo: float, hi: float) -> PhiSpec:
+    """phi, extended once unless `_loglog` reads it at a * (1/s) for every s
+    in the search bracket [lo, hi]: rounding is monotone, so the positive
+    ones lie in [min(a > 0) * (1/hi) or the least subnormal, max(a) * (1/lo)]."""
+    y = np.array([max(np.min(a[a > 0.0]) * (1.0 / hi), _SUBNORMAL), np.max(a) * (1.0 / lo)])
+    if y[1] <= phi.y_table[-1] and (y[0] >= phi.y_table[0] or phi.x_table[0] < 2.0 * _TINY):
+        return phi
+    return phi.extended_to(y)
+
+
 def luxemburg_norm(f: SampledFunction, phi: PhiSpec) -> float:
     """inf{ lambda > 0 : I_phi(f/lambda) <= 1 }, bisected to relative width
     1e-10 on a proven bracket; the feasible end `hi` is returned.
@@ -293,12 +295,14 @@ def luxemburg_norm(f: SampledFunction, phi: PhiSpec) -> float:
     increasing, so at lambda = max|f| / u every phi(|f_j| / lambda) <= 1.
     """
     a, e = _normalised_modulus(f)
+    if not np.any(a > 0.0):
+        return 0.0
     u = float(phi.phi_inv(1.0))
     lo, hi = float(np.mean(a)) / u, float(np.max(a)) / u
+    phi = _covering(phi, a, lo, hi)
     while hi - lo > 1e-10 * hi:
         mid = 0.5 * (lo + hi)
-        m_mid, phi = _modular_auto(a, phi, 1.0 / mid)
-        if m_mid <= 1.0:
+        if _modular(a * (1.0 / mid), phi) <= 1.0:
             hi = mid
         else:
             lo = mid
@@ -326,12 +330,8 @@ def orlicz_amemiya_norm(f: SampledFunction, phi: PhiSpec) -> float:
     in_table = phi.x_table[0] <= c <= phi.x_table[-1]
     v = float(phi.phi_inv(c) if in_table else _phi_inv_formula(c, phi.p, phi.q, phi.rho))
     lo, hi = float(np.mean(a)) / v, 2.0 * float(np.max(a)) / float(phi.phi_inv(1.0))
-
-    def objective(s: float) -> float:
-        nonlocal phi
-        modular, phi = _modular_auto(a, phi, 1.0 / s)
-        return s * (1.0 + modular)
-
+    phi = _covering(phi, a, lo, hi)
+    objective = lambda s: s * (1.0 + _modular(a * (1.0 / s), phi))  # noqa: E731
     return math.ldexp(_golden_min(objective, lo, hi, 1e-9 * hi)[1], e)
 
 

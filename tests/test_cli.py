@@ -363,23 +363,31 @@ class TestSweepCommand:
         keys = [(float(r["p"]), int(r["n"]), int(r["degree"])) for r in rows]
         assert keys == sorted(keys)
 
-    def test_problem2_bound_is_riesz_thorin(self, capsys):
-        # |S B c| = |(I - E_N) S c|, and I - E_N interpolates between
-        # 2 - 2/N on l^1_N, l^inf_N and 1 on l^2_N
+    @staticmethod
+    def assert_riesz_thorin_rows(capsys, argv):
+        # I - K_n interpolates between 2 - 2(n+1)/N on l^1_N, l^inf_N and 1
+        # on l^2_N; problem2 is n = 0, as |S B c| = |(I - E_N) S c|
         code, out, _ = run_cli(
-            ["sweep", "--problem", "problem2", "--p", "1.5,3,inf", "-N", "128", "-d", "8",
-             "--starts", "2"],
+            ["sweep", *argv, "--p", "1.5,3,inf", "-N", "128", "-d", "8", "--starts", "2"],
             capsys,
         )
         assert code == 0
         rows = parse_csv(out)[1]
         assert {r["p"] for r in rows} == {"1.5", "3.0", "inf"}
         for row in rows:
-            p = float(row["p"])
-            bound = 2.0 ** (1.0 if p == np.inf else abs(1.0 - 2.0 / p))
+            p, n = float(row["p"]), int(row["n"] or 0)
+            bound = (2.0 - 2.0 * (n + 1) / 128) ** (1.0 if p == np.inf else abs(1.0 - 2.0 / p))
             assert float(row["upper_analytic"]) == bound
             assert float(row["estimate"]) <= bound
             assert float(row["estimate_2d"]) <= bound
+        return rows
+
+    def test_problem2_bound_is_riesz_thorin(self, capsys):
+        self.assert_riesz_thorin_rows(capsys, ["--problem", "problem2"])
+
+    def test_problem1_bound_is_riesz_thorin(self, capsys):
+        rows = self.assert_riesz_thorin_rows(capsys, ["--problem", "problem1", "--q", "0,1,3"])
+        assert {r["n"] for r in rows} == {"0", "1", "3"}
 
 
 class TestVerifyCommand:

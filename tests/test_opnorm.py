@@ -1220,3 +1220,38 @@ class TestGridWitnessTransfer:
         op = fejer_difference_operator(1, make_grid(512))
         _, xs, _, _ = _ascend(_in_range(op, 1.5), [est.witness], 1.5, 1e-12, 5000)
         assert certified_ratio(op, xs[0], 1.5) - est.value < 1e-10 * est.value
+
+    def test_grid_win_reports_the_bump_ascent(self, grid_transfer):
+        # a transfer win counts the direct solve, the order-0 base solve and
+        # the 4 re-ascended bumps
+        g = make_grid(512)
+        est = grid_transfer(1, 1.5)
+        direct = operator_norm(fejer_difference_operator(1, g), 1.5)
+        base = power_method_pnorm(fejer_difference_operator(0, g), 1.5)
+        assert est.value > direct.value  # the transfer wins
+        assert est.n_starts == direct.n_starts + base.n_starts + 4
+        assert est.n_iters > direct.n_iters + base.n_iters
+
+    def test_subspace_win_reports_the_bump_ascent(self):
+        g = make_grid(1024)
+        est = fejer_hp_estimate(1, 1.5, 32, g)
+        direct = operator_norm(analytic_restriction(fejer_difference_operator(1, g), 32), 1.5)
+        base = subspace_norm(analytic_restriction(fejer_difference_operator(0, g), 16), 1.5)
+        assert est.value > direct.value  # the transfer wins
+        assert est.n_starts == direct.n_starts + base.n_starts + 4
+        assert est.n_iters > direct.n_iters + base.n_iters
+
+
+class TestShiftIsFejerZero:
+    @pytest.mark.parametrize("n_points, degree", [(64, 8), (1024, 32)])
+    @pytest.mark.parametrize("p", [1.0, 1.5, 4.0, INF])
+    def test_certified_ratios_agree(self, rng, n_points, degree, p):
+        # for N > d, |S B c| = |(I - E_N) S c| pointwise: the backward shift
+        # and I - K_0 restricted to the degree-d section replay alike
+        g = make_grid(n_points)
+        shift = backward_shift(degree, g)
+        fejer0 = analytic_restriction(fejer_difference_operator(0, g), degree)
+        for _ in range(5):
+            c = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
+            a, b = certified_ratio(shift, c, p), certified_ratio(fejer0, c, p)
+            assert abs(a - b) <= 1e-14 * a

@@ -24,7 +24,7 @@ from hardybench import (
     synthesize,
 )
 from hardybench.errors import InvalidGeneratorError, RangeExceededError
-from hardybench.spaces import _modular_auto
+from hardybench.spaces import PhiSpec
 from hardybench.testfunctions import random_trig_polynomial
 
 
@@ -204,6 +204,20 @@ class TestPhiFromRho:
         high = phi.extended_to(np.array([1.0, 1e3]))
         assert high.y_table[-1] >= 1e3 and high.x_table[0] == phi.x_table[0]
 
+    @pytest.mark.parametrize("p, q, theta", GENERATORS)
+    def test_reads_the_tables_loglog(self, rng, p, q, theta):
+        # the logs taken once at build give the bits of taking them per call
+        phi = phi_from_rho(p, q, theta)
+        for t, nodes, values, read in (
+            (phi.y_table, phi.y_table, phi.x_table, phi.phi),
+            (phi.x_table, phi.x_table, phi.y_table, phi.phi_inv),
+        ):
+            args = np.exp(rng.uniform(np.log(t[0]), np.log(t[-1]), 200))
+            args = np.concatenate([args, t[[0, 1, -2, -1]]])
+            ref = np.exp(np.interp(np.log(args), np.log(nodes), np.log(values)))
+            assert np.array_equal(read(args), ref)
+            assert read(np.array([0.0]))[0] == 0.0
+
     def test_out_of_range_raises(self, grid64):
         phi = phi_from_rho(2.0, 4.0, 0.5)
         with pytest.raises(RangeExceededError):
@@ -227,6 +241,17 @@ class TestOrliczModular:
             f = random_samples(rng, grid64)
             g = SampledFunction(grid64, f.values * rng.uniform(0.0, 1.0, 64))
             assert orlicz_modular(g, phi) <= orlicz_modular(f, phi) + 1e-12
+
+
+def _modular_auto(values_abs, phi, scale):
+    """Modular of scale*|f| and the table it was read on, which is extended
+    to cover scale*|f| on the first miss: the reference's lazy table."""
+    scaled = values_abs * scale
+    try:
+        return float(np.mean(phi.phi(scaled))), phi
+    except RangeExceededError:
+        phi = phi.extended_to(scaled)
+    return float(np.mean(phi.phi(scaled))), phi
 
 
 def luxemburg_expanding_reference(f, phi):
@@ -322,6 +347,42 @@ class TestAmemiya:
                 assert am <= 2.0 * lux * (1 + 1e-8)
 
 
+class TestOrliczTableExtension:
+    @pytest.fixture
+    def extensions(self, monkeypatch):
+        calls, original = [], PhiSpec.extended_to
+
+        def counted(self, values):
+            calls.append(values)
+            return original(self, values)
+
+        monkeypatch.setattr(PhiSpec, "extended_to", counted)
+        return calls
+
+    @pytest.mark.parametrize("norm", [luxemburg_norm, orlicz_amemiya_norm])
+    def test_in_table_bracket_extends_nothing(self, grid64, rng, extensions, norm):
+        phi = phi_from_rho(1.5, 3.0, 0.5)
+        norm(random_samples(rng, grid64), phi)
+        assert extensions == []
+
+    @pytest.mark.parametrize("norm", [luxemburg_norm, orlicz_amemiya_norm])
+    def test_bracket_outside_extends_once(self, grid64, rng, extensions, norm):
+        # phi^{-1}(x) = x^{1/20} tabulates y in [0.25, 3.99] only; the power
+        # family is exact in log-log, so the extended table reads x^20 still
+        phi = phi_from_rho(1.1, 20.0, 1.0)
+        f = random_samples(rng, grid64)
+        value = norm(f, phi)
+        assert len(extensions) == 1
+        ref = lp_norm(f, 20.0) if norm is luxemburg_norm else amemiya_power(f, 20.0)
+        assert abs(value - ref) <= 1e-9 * ref
+
+    @pytest.mark.parametrize("norm", [luxemburg_norm, orlicz_amemiya_norm])
+    def test_zero_function_reads_no_table(self, grid64, extensions, norm):
+        phi = phi_from_rho(1.1, 20.0, 1.0)
+        assert norm(SampledFunction(grid64, np.zeros(64, dtype=complex)), phi) == 0.0
+        assert extensions == []
+
+
 class TestOrliczInputs:
     @pytest.mark.parametrize("p, q, theta", [(1.5, 3.0, 0.5), (1.1, 20.0, 1.0), (2.0, 4.0, 0.25)])
     @pytest.mark.parametrize("tiny", [1e-30, 1e-100, 1e-300, 0.0])
@@ -337,6 +398,19 @@ class TestOrliczInputs:
         assert abs(lux - ref) <= 1e-9 * ref
         am, ref = orlicz_amemiya_norm(f, phi), amemiya_power(f, r)
         assert abs(am - ref) <= 1e-9 * ref
+
+    @pytest.mark.parametrize("norm", [luxemburg_norm, orlicz_amemiya_norm])
+    def test_least_subnormal_entry_below_the_table(self, grid64, norm):
+        # rho(t) = 0.3 t^{1/2} gives phi(y) = (y / 0.3)^{8/3} and u = 0.3: the
+        # entry 5e-324 times 1/lambda reads 0 at the top of the bracket but
+        # the least subnormal inside it, so the table must reach phi = 0
+        phi = phi_from_rho(2.0, 4.0, rho=lambda t: 0.3 * np.asarray(t, dtype=float) ** 0.5)
+        values = np.zeros(64, dtype=complex)
+        values[0], values[1] = 0.75, 5e-324
+        f = SampledFunction(grid64, values)
+        r = 8.0 / 3.0
+        ref = lp_norm(f, r) / 0.3 if norm is luxemburg_norm else amemiya_power(f, r) / 0.3
+        assert abs(norm(f, phi) - ref) <= 1e-9 * ref
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("norm", [luxemburg_norm, orlicz_amemiya_norm])
