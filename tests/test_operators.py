@@ -90,15 +90,24 @@ class TestRowApply:
     def _rows(self, rng, n):
         return rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
 
-    @pytest.mark.parametrize("n", [0, 2])
-    def test_circulant_rows_are_bit_identical(self, grid64, rng, n):
-        op = identity_minus(convolution_operator(KernelSpec.fejer(n), grid64))
-        x = self._rows(rng, 64)
+    def _check_rows(self, op, x):
         for fn in (op.apply, op.apply_adjoint):
             batch = fn(x)
             assert batch.shape == x.shape
             for i in range(x.shape[0]):
                 assert np.array_equal(batch[i], fn(x[i]))
+
+    @pytest.mark.parametrize("n", [0, 2, 4])
+    def test_circulant_rows_are_bit_identical(self, grid64, rng, n):
+        # r = 2n + 1 against log2 64 = 6: the band apply at n <= 2, FFT at n = 4
+        op = identity_minus(convolution_operator(KernelSpec.fejer(n), grid64))
+        assert bool(op._band_tables()) == (n <= 2)
+        self._check_rows(op, self._rows(rng, 64))
+
+    def test_poisson_rows_are_bit_identical(self, grid64, rng):
+        op = identity_minus(convolution_operator(KernelSpec.poisson(0.6), grid64))
+        assert not op._band_tables()
+        self._check_rows(op, self._rows(rng, 64))
 
     @pytest.mark.parametrize("kind", ["complex", "real"])
     def test_dense_rows_match_single_vectors(self, rng, kind):
@@ -119,6 +128,73 @@ class TestRowApply:
         m = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
         op = OperatorRep(matrix=m, basis="grid", grid=make_grid(8))
         assert op.matrix is m
+
+
+def _fft_reference(x, m):
+    return np.fft.ifft(np.fft.fft(x, axis=-1) * m, axis=-1)
+
+
+class TestCirculantApplyPaths:
+    """Exact Fejer multipliers, and the band and FFT applies of a circulant."""
+
+    @pytest.mark.parametrize(
+        "n_pts,n", [(9, 4), (16, 7), (16, 10), (64, 40), (512, 1), (64, 0), (2048, 4)]
+    )
+    def test_fejer_multipliers_match_fft_of_column(self, n_pts, n):
+        # 2n + 1 > N folds frequencies onto one bin: (9, 4) just fits, the rest alias
+        op = convolution_operator(KernelSpec.fejer(n), make_grid(n_pts))
+        assert np.max(np.abs(op.multipliers - np.fft.fft(op.column))) <= 2e-15
+
+    @pytest.mark.parametrize("n_pts,n", [(9, 4), (64, 0), (64, 31), (512, 1), (2048, 4)])
+    def test_fejer_difference_is_exactly_one_off_the_band(self, n_pts, n):
+        m = identity_minus(convolution_operator(KernelSpec.fejer(n), make_grid(n_pts))).multipliers
+        ks = np.arange(n_pts)
+        off = np.minimum(ks, n_pts - ks) > n
+        assert np.all(m[off] == 1.0)
+        assert m[0] == 0.0
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 4])
+    @pytest.mark.parametrize("n_pts", [64, 512, 2048])
+    def test_band_and_fft_applies_agree(self, rng, n, n_pts):
+        op = identity_minus(convolution_operator(KernelSpec.fejer(n), make_grid(n_pts)))
+        assert bool(op._band_tables()) == (2 * n + 1 <= np.log2(n_pts))
+        for shape in ((n_pts,), (5, n_pts)):
+            x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            tol = 1e-14 * np.max(np.abs(x))
+            assert np.max(np.abs(op.apply(x) - _fft_reference(x, op.multipliers))) <= tol
+            ref = _fft_reference(x, np.conj(op.multipliers))
+            assert np.max(np.abs(op.apply_adjoint(x) - ref)) <= tol
+
+    def test_scaled_copy_keeps_the_band_apply(self, rng):
+        from hardybench.opnorm import _in_range
+
+        def pow2(v, e):
+            v = np.asarray(v, dtype=complex)
+            return np.ldexp(v.real, e) + 1j * np.ldexp(v.imag, e)
+
+        base = identity_minus(convolution_operator(KernelSpec.fejer(1), make_grid(512)))
+        big = OperatorRep(
+            basis="grid",
+            grid=base.grid,
+            column=pow2(base.column, 700),
+            multipliers=pow2(base.multipliers, 700),
+        )
+        copy = _in_range(big, 1.5)
+        assert copy is not big and copy._band_tables() and big._band_tables()
+        e = int(np.frexp(np.max(np.abs(big.column)))[1])
+        x = rng.standard_normal((3, 512)) + 1j * rng.standard_normal((3, 512))
+        for fn, ref in ((copy.apply, big.apply), (copy.apply_adjoint, big.apply_adjoint)):
+            assert np.array_equal(fn(x), pow2(ref(x), -e))
+
+    def test_identity_and_zero_circulants(self, grid64, rng):
+        one = identity_operator(grid64)
+        zero = identity_minus(one)
+        assert one._band_tables()[1].size == 0 and zero._band_tables()[1].size == 0
+        x = rng.standard_normal((3, 64)) + 1j * rng.standard_normal((3, 64))
+        for fn in (one.apply, one.apply_adjoint):
+            assert np.array_equal(fn(x), x)
+        for fn in (zero.apply, zero.apply_adjoint):
+            assert np.array_equal(fn(x), np.zeros_like(x))
 
 
 class TestIdentityMinus:

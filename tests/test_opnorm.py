@@ -135,6 +135,15 @@ class TestExactP2:
         est = exact_norm_p2(fejer_difference_operator(n, g))
         assert abs(est.value - 1.0) < 1e-10
 
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+    @pytest.mark.parametrize("n_pts", [512, 2048])
+    def test_fejer_difference_certifies_exactly_one(self, n_pts, n):
+        # exact multipliers: no roundoff lifts the certificate above the true norm 1
+        g = make_grid(n_pts)
+        est = exact_norm_p2(fejer_difference_operator(n, g))
+        assert est.value == 1.0
+        assert np.array_equal(est.witness, np.exp(2j * np.pi * (n + 1) * np.arange(n_pts) / n_pts))
+
     def test_poisson_diagonal_on_analytic_basis(self, grid256):
         r = analytic_restriction(convolution_operator(KernelSpec.poisson(0.7), grid256), 8)
         est = exact_norm_p2(r)
