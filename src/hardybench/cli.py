@@ -451,7 +451,7 @@ def _verify_orlicz(cfg: RunConfig) -> list[dict]:
                    worst_sandwich <= 1e-8, worst_sandwich, 1e-8)
         )
         checks.append(
-            _check(f"homogeneity[p={p:g},q={q:g}]", worst_hom <= 1e-9, worst_hom, 1e-9)
+            _check(f"homogeneity[p={p:g},q={q:g}]", worst_hom <= 1e-12, worst_hom, 1e-12)
         )
         x = np.exp(np.linspace(np.log(1e-3), np.log(1e3), 101))
         expo = 1.0 / (1.0 / p + theta * (1.0 / q - 1.0 / p))

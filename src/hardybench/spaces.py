@@ -22,6 +22,8 @@ _PHI_TABLE_NODES = 4096  # 2^12 log-spaced nodes per table
 _PHI_RANGE = (1e-12, 1e12)  # initial argument range of phi^{-1}
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_EPS = np.finfo(float).eps
+_MARGIN = 2.0**-20  # widening of the proven Orlicz brackets in log scale
 _TINY = np.finfo(float).tiny  # the smallest normal double
 _SUBNORMAL = np.finfo(float).smallest_subnormal
 
@@ -133,7 +135,10 @@ class PhiSpec:
     phi^{-1}(x) = x^{1/p} * rho(x^{1/q - 1/p}) is tabulated at log-spaced
     arguments x; phi itself is the same monotone table read backwards.
     Interpolation is linear in log-log coordinates, which keeps the table
-    monotone and is exact on the power family rho(t) = t^theta.
+    monotone and is exact on the power family rho(t) = t^theta.  The logs
+    of both tables and the slope of every segment in each direction are
+    taken once, at build; one binary search per argument then gives phi
+    and its log-log slope sigma(y) = y phi'(y) / phi(y) together.
 
     Tables are immutable; `extended_to` returns a new PhiSpec on a wider
     range (possible only while the generator is attached).
@@ -150,15 +155,24 @@ class PhiSpec:
         if not np.all(np.diff(self.y_table) > 0.0):
             raise InvalidGeneratorError("phi^{-1} table is not strictly increasing")
         _check_convexity(self.x_table, self.y_table)
-        object.__setattr__(self, "_log_x", np.log(self.x_table))  # the tables' logs,
-        object.__setattr__(self, "_log_y", np.log(self.y_table))  # taken once
+        log_x, log_y = np.log(self.x_table), np.log(self.y_table)  # taken once
+        dx, dy = np.diff(log_x), np.diff(log_y)
+        object.__setattr__(self, "_log_x", log_x)
+        object.__setattr__(self, "_log_y", log_y)
+        object.__setattr__(self, "_sigma", _segment_slopes(dx, dy))  # of phi
+        object.__setattr__(self, "_sigma_inv", _segment_slopes(dy, dx))  # of phi^{-1}
 
     def phi(self, y: np.ndarray) -> np.ndarray:
         """phi(y) for y >= 0; exact zeros map to 0 (phi(0) = 0)."""
-        return _loglog(y, self.y_table, self.x_table, self._log_y, self._log_x)
+        return self._phi_and_slope(y)[0]
 
     def phi_inv(self, x: np.ndarray) -> np.ndarray:
-        return _loglog(x, self.x_table, self.y_table, self._log_x, self._log_y)
+        return _loglog(x, self.x_table, self.y_table, self._log_x, self._log_y, self._sigma_inv)[0]
+
+    def _phi_and_slope(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """phi(y) and its log-log slope sigma(y), the slope of the segment
+        that holds y (0 where phi reads 0)."""
+        return _loglog(y, self.y_table, self.x_table, self._log_y, self._log_x, self._sigma)
 
     def extended_to(self, values: np.ndarray) -> "PhiSpec":
         """New PhiSpec whose phi-range covers all positive entries of `values`,
@@ -186,19 +200,31 @@ class PhiSpec:
         return _build_phi(self.p, self.q, self.rho, self.theta, x_lo, x_hi)
 
 
-def _loglog(t, nodes, values, log_nodes, log_values) -> np.ndarray:
+def _segment_slopes(rise: np.ndarray, run: np.ndarray) -> np.ndarray:
+    """rise / run per segment, the last repeated for the last node."""
+    slopes = rise / run
+    return np.append(slopes, slopes[-1])
+
+
+def _loglog(t, nodes, values, log_nodes, log_values, slopes) -> tuple[np.ndarray, np.ndarray]:
     """The increasing table nodes -> values, read at t >= 0 linearly in
-    log-log coordinates.  0 maps to 0, and so does t below the first node
-    when the first value is below 2^-1021; other t outside raise."""
+    log-log coordinates, and the slope of the segment read (the one that
+    starts at or below log t): the bits of np.interp from one search.
+    0 maps to 0, and so does t below the first node when the first value is
+    below 2^-1021, both with slope 0; other t outside raise."""
     t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
+    out, slope = np.zeros_like(t), np.zeros_like(t)
     pos = t >= nodes[0] if values[0] < 2.0 * _TINY else t > 0.0
     if np.any(pos):
         tp = t[pos]
         if np.min(tp) < nodes[0] or np.max(tp) > nodes[-1]:
             raise RangeExceededError("argument outside the tabulated range; extend the table")
-        out[pos] = np.exp(np.interp(np.log(tp), log_nodes, log_values))
-    return out
+        lt = np.log(tp)
+        j = np.searchsorted(log_nodes, lt, side="right") - 1
+        s = slopes[j]
+        out[pos] = np.exp(s * (lt - log_nodes[j]) + log_values[j])
+        slope[pos] = s
+    return out, slope
 
 
 def _phi_inv_formula(x, p, q, rho):
@@ -264,11 +290,10 @@ def _modular(y: np.ndarray, phi: PhiSpec) -> float:
     return float(np.mean(phi.phi(y)))
 
 
-def _normalised_modulus(f: SampledFunction) -> tuple[np.ndarray, int]:
-    """|f| / 2^e and e, where 2^e brings max|f| into [1/2, 1): the Orlicz
+def _normalised(a: np.ndarray) -> tuple[np.ndarray, int]:
+    """a / 2^e and e, where 2^e brings max(a) into [1/2, 1): the Orlicz
     norms are homogeneous, the scaling is exact and no sum can overflow.
-    ValueError unless every sample has a finite modulus."""
-    a = np.abs(f.values)
+    ValueError unless every modulus is finite."""
     if not np.all(np.isfinite(a)):
         raise ValueError("Orlicz norms need samples of finite modulus")
     e = int(np.frexp(np.max(a))[1])
@@ -285,54 +310,134 @@ def _covering(phi: PhiSpec, a: np.ndarray, lo: float, hi: float) -> PhiSpec:
     return phi.extended_to(y)
 
 
-def luxemburg_norm(f: SampledFunction, phi: PhiSpec) -> float:
-    """inf{ lambda > 0 : I_phi(f/lambda) <= 1 }, bisected to relative width
-    1e-10 on a proven bracket; the feasible end `hi` is returned.
+def _log_bracket(a: np.ndarray, phi: PhiSpec, lo: float, hi: float):
+    """The proven bracket [lo, hi] of a scale s, as t = log s, and phi
+    covering every s = e^t between its ends.  Each end moves out by _MARGIN:
+    on a constant modulus the proven end is the root itself, and rounding
+    could put the root just outside."""
+    t_lo, t_hi = math.log(lo) - _MARGIN, math.log(hi) + _MARGIN
+    return t_lo, t_hi, _covering(phi, a, math.exp(t_lo), math.exp(t_hi))
 
-    With u = phi^{-1}(1) the norm lies in [mean|f| / u, max|f| / u].  phi is
-    convex (`_check_convexity`), so by Jensen I_phi(f/lambda) >=
+
+def _zeroin(fn, lo: float, hi: float, xtol: float):
+    """A sign change of a decreasing fn on [lo, hi] by Brent's zeroin
+    (R. P. Brent, Algorithms for Minimization without Derivatives, 1973,
+    ch. 4): inverse quadratic or secant steps with a bisection fallback.
+
+    fn(x) returns (value, data) with value > 0 at lo and <= 0 at hi.  The
+    search stops at a value 0 or once the bracket is at most 4 eps max(1,
+    |x|) + xtol wide; it returns (x, value, data) at its two ends, the best
+    estimate first, one value > 0 and the other <= 0.
+    """
+    b, c = (lo, *fn(lo)), (hi, *fn(hi))
+    if not b[1] > 0.0 or c[1] > 0.0:
+        raise NoConvergenceError(f"bracket does not hold: {b[1]!r} at {lo!r}, {c[1]!r} at {hi!r}")
+    a = c
+    d = e = c[0] - b[0]
+    while True:
+        if (b[1] > 0.0) == (c[1] > 0.0):
+            c = a
+            d = e = b[0] - a[0]
+        if abs(c[1]) < abs(b[1]):
+            a, b, c = b, c, b
+        tol = 2.0 * _EPS * max(1.0, abs(b[0])) + 0.5 * xtol
+        m = 0.5 * (c[0] - b[0])
+        if abs(m) <= tol or b[1] == 0.0:
+            return b, c
+        if abs(e) < tol or abs(a[1]) <= abs(b[1]):
+            d = e = m  # bisection
+        else:
+            s = b[1] / a[1]
+            if a is c:  # secant
+                p, q = 2.0 * m * s, 1.0 - s
+            else:  # inverse quadratic
+                q, r = a[1] / c[1], b[1] / c[1]
+                p = s * (2.0 * m * q * (q - r) - (b[0] - a[0]) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            else:
+                p = -p
+            if 2.0 * p < min(3.0 * m * q - abs(tol * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = m
+        a = b
+        x = b[0] + (d if abs(d) > tol else math.copysign(tol, m))
+        b = (x, *fn(x))
+
+
+def _luxemburg_bracket(a: np.ndarray, phi: PhiSpec) -> tuple[float, float]:
+    """(lo, hi) with I_phi(a * (1/lo)) > 1 >= I_phi(a * (1/hi)) for the moduli
+    a = |f| (lo = hi = 0 when a = 0): a few ulps apart, unless hi reads
+    I_phi = 1 exactly and so is the norm to the rounding of the modular.
+    Both modulars are read at the returned scales; they are read on a / 2^e
+    and scaled back by 2^e, which changes no product a_j * (1/s) while s and
+    1/s stay normal.
+
+    log I_phi(f/e^t) decreases in t; its root is found by `_zeroin`, and on
+    the power family, where it is linear in t, the first secant step lands
+    on it.  With u = phi^{-1}(1) the root lies in [mean|f| / u, max|f| / u].
+    phi is convex (`_check_convexity`), so by Jensen I_phi(f/lambda) >=
     phi(mean|f| / lambda) > phi(u) = 1 for lambda < mean|f| / u; phi is
     increasing, so at lambda = max|f| / u every phi(|f_j| / lambda) <= 1.
     """
-    a, e = _normalised_modulus(f)
+    a, e = _normalised(a)
     if not np.any(a > 0.0):
-        return 0.0
+        return 0.0, 0.0
     u = float(phi.phi_inv(1.0))
-    lo, hi = float(np.mean(a)) / u, float(np.max(a)) / u
-    phi = _covering(phi, a, lo, hi)
-    while hi - lo > 1e-10 * hi:
-        mid = 0.5 * (lo + hi)
-        if _modular(a * (1.0 / mid), phi) <= 1.0:
-            hi = mid
-        else:
-            lo = mid
-    return math.ldexp(hi, e)
+    t_lo, t_hi, phi = _log_bracket(a, phi, float(np.mean(a)) / u, float(np.max(a)) / u)
+
+    def log_modular(t):
+        s = math.exp(t)
+        return math.log(_modular(a * (1.0 / s), phi)), s
+
+    (_, _, s1), (_, v2, s2) = _zeroin(log_modular, t_lo, t_hi, 0.0)
+    lo, hi = (s2, s1) if v2 > 0.0 else (s1, s2)
+    return math.ldexp(lo, e), math.ldexp(hi, e)
+
+
+def luxemburg_norm(f: SampledFunction, phi: PhiSpec) -> float:
+    """inf{ lambda > 0 : I_phi(f/lambda) <= 1 }: the feasible end `hi` of
+    `_luxemburg_bracket`, so I_phi(f * (1/lambda)) <= 1 holds as computed at
+    the returned lambda, which is at most a few ulps above the infimum."""
+    return _luxemburg_bracket(np.abs(f.values), phi)[1]
 
 
 def orlicz_amemiya_norm(f: SampledFunction, phi: PhiSpec) -> float:
-    """inf_{k>0} (1 + I_phi(k f))/k: golden-section search over s = 1/k on a
-    proven bracket, to a width of 1e-9 times its top; the objective at the
-    final midpoint is returned.
+    """inf_{k>0} (1 + I_phi(k f))/k = min_s g(s), g(s) = s (1 + I_phi(f/s)):
+    g at the root of g'(s) = 0, found by `_zeroin` in t = log s to a bracket
+    of relative width 1e-9 or less.
 
-    g(s) = s (1 + I_phi(f/s)) is convex, a perspective of the convex
-    modular.  Its minimiser s* lies in [mean|f| / phi^{-1}(1/(p-1)),
-    2 max|f| / u], u = phi^{-1}(1).  Upper end: s* <= g(s*) <= g(L) <= 2L
-    for the Luxemburg norm L <= max|f| / u.  Lower end: rho increases, so
-    phi has log-log slope >= p and y phi'(y) - phi(y) >= (p-1) phi(y); the
-    optimality condition mean (y phi' - phi)(|f|/s*) <= 1 then gives
-    (p-1) I_phi(f/s*) <= 1, and Jensen phi(mean|f| / s*) <= 1/(p-1).
-    phi^{-1}(1/(p-1)) comes from the generator when it leaves the table.
+    g'(s) = 1 - mean phi(y) (sigma(y) - 1) with y = |f|/s and sigma the
+    table's log-log slope, so the root is that of t -> log mean phi(y)
+    (sigma(y) - 1), which decreases in s (y phi'(y) - phi(y) increases for
+    convex phi) and on the power family is linear in t.
+
+    g is convex, a perspective of the convex modular.  Its minimiser s*
+    lies in [mean|f| / phi^{-1}(1/(p-1)), 2 max|f| / u], u = phi^{-1}(1).
+    Upper end: s* <= g(s*) <= g(L) <= 2L for the Luxemburg norm L <= max|f|
+    / u.  Lower end: rho increases, so phi has log-log slope >= p and
+    y phi'(y) - phi(y) >= (p-1) phi(y); the optimality condition mean
+    (y phi' - phi)(|f|/s*) <= 1 then gives (p-1) I_phi(f/s*) <= 1, and Jensen
+    phi(mean|f| / s*) <= 1/(p-1).  phi^{-1}(1/(p-1)) comes from the generator
+    when it leaves the table.
     """
-    a, e = _normalised_modulus(f)
+    a, e = _normalised(np.abs(f.values))
     if not np.any(a > 0.0):
         return 0.0
     c = 1.0 / (phi.p - 1.0)
     in_table = phi.x_table[0] <= c <= phi.x_table[-1]
     v = float(phi.phi_inv(c) if in_table else _phi_inv_formula(c, phi.p, phi.q, phi.rho))
     lo, hi = float(np.mean(a)) / v, 2.0 * float(np.max(a)) / float(phi.phi_inv(1.0))
-    phi = _covering(phi, a, lo, hi)
-    objective = lambda s: s * (1.0 + _modular(a * (1.0 / s), phi))  # noqa: E731
-    return math.ldexp(_golden_min(objective, lo, hi, 1e-9 * hi)[1], e)
+    t_lo, t_hi, phi = _log_bracket(a, phi, lo, hi)
+
+    def slope_excess(t):
+        s = math.exp(t)
+        y_phi, sigma = phi._phi_and_slope(a * (1.0 / s))
+        return math.log(float(np.mean(y_phi * (sigma - 1.0)))), s * (1.0 + float(np.mean(y_phi)))
+
+    return math.ldexp(_zeroin(slope_excess, t_lo, t_hi, 1e-9)[0][2], e)
 
 
 def _golden_max(fn, lo, hi, tol):

@@ -23,9 +23,17 @@ from hardybench import (
     phi_from_rho,
     synthesize,
 )
-from hardybench.errors import InvalidGeneratorError, RangeExceededError
+from hardybench import spaces
+from hardybench.errors import InvalidGeneratorError, NoConvergenceError, RangeExceededError
 from hardybench.spaces import PhiSpec
 from hardybench.testfunctions import random_trig_polynomial
+
+
+def verify_shapes():
+    """The `verify orlicz` shapes: ten degree-12 trigonometric polynomials on 512 points."""
+    g = make_grid(512)
+    rng = np.random.default_rng([0, 12])
+    return [synthesize(random_trig_polynomial(rng, 12), g) for _ in range(10)]
 
 
 def random_samples(rng, grid, scale=1.0):
@@ -45,6 +53,14 @@ def amemiya_power(f, r):
 
 # generators rho(t) = t^theta as (p, q, theta); phi(x) = x^r, r = power_exponent(p, q, theta)
 GENERATORS = [(2.0, 4.0, 0.0), (1.5, 3.0, 0.0), (1.5, 3.0, 0.5), (2.0, 4.0, 0.25), (1.1, 20.0, 1.0)]
+# the generators of the benchmark's oracle-tables workload
+BENCH_GENERATORS = [(1.5, 3.0, 0.5), (2.0, 4.0, 0.25), (1.5, 3.0, 0.0)]
+# generators outside the power family, where the log-log table is not exact
+NON_POWER = {
+    "t^0.3+0.5t^0.9": (1.1, 20.0, lambda t: np.asarray(t, dtype=float) ** 0.3
+                       + 0.5 * np.asarray(t, dtype=float) ** 0.9),
+    "log1p": (1.5, 3.0, np.log1p),
+}
 HOMOGENEITY_SCALES = (0.125, 3.0, 17.0, 2.0**1020, 2.0**-1030)
 
 
@@ -273,6 +289,127 @@ def luxemburg_expanding_reference(f, phi):
         else:
             lo = mid
     return hi
+
+
+def luxemburg_bisection_reference(f, phi):
+    """The bisection that `luxemburg_norm` replaced: bisect the proven
+    bracket [mean|f| / u, max|f| / u], u = phi^{-1}(1), to relative width
+    1e-10 and return the feasible end."""
+    a, e = spaces._normalised(np.abs(f.values))
+    u = float(phi.phi_inv(1.0))
+    lo, hi = float(np.mean(a)) / u, float(np.max(a)) / u
+    phi = spaces._covering(phi, a, lo, hi)
+    while hi - lo > 1e-10 * hi:
+        mid = 0.5 * (lo + hi)
+        if spaces._modular(a * (1.0 / mid), phi) <= 1.0:
+            hi = mid
+        else:
+            lo = mid
+    return np.ldexp(hi, e)
+
+
+def amemiya_golden_reference(f, phi):
+    """The golden-section search that `orlicz_amemiya_norm` replaced: minimise
+    s (1 + I_phi(f/s)) over its proven bracket to a width of 1e-9 times its
+    top and return the objective at the final midpoint."""
+    a, e = spaces._normalised(np.abs(f.values))
+    v = float(phi.phi_inv(1.0 / (phi.p - 1.0)))
+    lo, hi = float(np.mean(a)) / v, 2.0 * float(np.max(a)) / float(phi.phi_inv(1.0))
+    phi = spaces._covering(phi, a, lo, hi)
+    objective = lambda s: s * (1.0 + spaces._modular(a * (1.0 / s), phi))  # noqa: E731
+    return np.ldexp(spaces._golden_min(objective, lo, hi, 1e-9 * hi)[1], e)
+
+
+@pytest.mark.parametrize("name", sorted(NON_POWER))
+def test_norms_match_the_replaced_searches(name):
+    # outside the power family the searches meet the kinks of the table
+    p, q, rho = NON_POWER[name]
+    phi = phi_from_rho(p, q, rho=rho)
+    for f in verify_shapes():
+        ref = luxemburg_bisection_reference(f, phi)
+        assert abs(luxemburg_norm(f, phi) - ref) <= 1e-10 * ref
+        ref = amemiya_golden_reference(f, phi)
+        assert abs(orlicz_amemiya_norm(f, phi) - ref) <= 1e-11 * ref
+
+
+@pytest.mark.parametrize("p, q, theta", GENERATORS)
+def test_power_family_closed_forms(p, q, theta):
+    # phi(x) = x^r is exact in log-log, and both roots are read to the ulp
+    phi = phi_from_rho(p, q, theta)
+    r = power_exponent(p, q, theta)
+    for f in verify_shapes():
+        ref = lp_norm(f, r)
+        assert abs(luxemburg_norm(f, phi) - ref) <= 1e-13 * ref
+        ref = amemiya_power(f, r)
+        assert abs(orlicz_amemiya_norm(f, phi) - ref) <= 1e-13 * ref
+
+
+class TestTableReads:
+    """Reads of the phi table (`spaces._loglog`) per norm call on the
+    `verify orlicz` shapes: the first secant step lands on the root of the
+    power family, and outside it the table's kinks cost a few more."""
+
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        count, original = [0], spaces._loglog
+
+        def counted(*args):
+            count[0] += 1
+            return original(*args)
+
+        monkeypatch.setattr(spaces, "_loglog", counted)
+        return count
+
+    def most_reads(self, reads, norm, phi):
+        most = 0
+        for f in verify_shapes():
+            reads[0] = 0
+            norm(f, phi)
+            most = max(most, reads[0])
+        return most
+
+    @pytest.mark.parametrize("p, q, theta", BENCH_GENERATORS)
+    def test_power_family(self, reads, p, q, theta):
+        phi = phi_from_rho(p, q, theta)
+        assert self.most_reads(reads, luxemburg_norm, phi) <= 6
+        assert self.most_reads(reads, orlicz_amemiya_norm, phi) <= 8
+
+    @pytest.mark.parametrize("name", sorted(NON_POWER))
+    def test_non_power(self, reads, name):
+        p, q, rho = NON_POWER[name]
+        phi = phi_from_rho(p, q, rho=rho)
+        assert self.most_reads(reads, luxemburg_norm, phi) <= 12
+        assert self.most_reads(reads, orlicz_amemiya_norm, phi) <= 16
+
+
+class TestLuxemburgBracket:
+    @pytest.mark.parametrize("scale", [1.0, 3.0, 2.0**1020, 2.0**-1020])
+    def test_ends_straddle_the_unit_modular(self, rng, scale):
+        # both modulars read at the returned ends, on the caller's scale
+        phi = phi_from_rho(1.5, 3.0, 0.5)
+        grid = make_grid(512)
+        for _ in range(5):
+            a = np.abs(random_samples(rng, grid, scale).values)
+            lo, hi = spaces._luxemburg_bracket(a, phi)
+            assert spaces._modular(a * (1.0 / lo), phi) > 1.0
+            top = spaces._modular(a * (1.0 / hi), phi)
+            assert top <= 1.0
+            assert top == 1.0 or lo < hi <= lo * (1.0 + 8.0 * np.finfo(float).eps)
+
+    def test_zero(self):
+        assert spaces._luxemburg_bracket(np.zeros(8), phi_from_rho(1.5, 3.0, 0.5)) == (0.0, 0.0)
+
+
+class TestZeroin:
+    def test_step_function(self):
+        # a jump at 0.3: bisection takes over from the interpolation
+        (x, v, _), (y, w, _) = spaces._zeroin(lambda t: (0.5 if t < 0.3 else -0.5, None), 0.0, 1.0, 1e-12)
+        assert {v > 0.0, w > 0.0} == {True, False}
+        assert abs(x - 0.3) <= 1e-12 and abs(y - 0.3) <= 1e-12
+
+    def test_unbracketed_raises(self):
+        with pytest.raises(NoConvergenceError):
+            spaces._zeroin(lambda t: (1.0 + t, None), 0.0, 1.0, 1e-12)
 
 
 class TestLuxemburg:
