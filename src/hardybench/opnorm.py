@@ -700,20 +700,30 @@ def _oracle_scan(a: np.ndarray, disc: np.ndarray, p: float):
     ||x||_inf = 1.  The |.|^p of the output rows are added over i (the max
     is taken at p = inf).  A chunk spans `_ORACLE_CHUNK_ROWS` rows, a run of
     points of the first free coordinate, and every value is computed
-    elementwise, so its bits do not depend on the chunking.  No array of all
-    the scan's points is built: a caller that streams the chunks
-    (`_streamed_top`) needs memory O(chunk), whatever the resolution."""
+    elementwise, so its bits do not depend on the chunking.  One output
+    row's outer sums, and their moduli and powers, are written into two
+    buffers allocated once per scan (`out=` runs the same ufunc loops, so
+    the bits are those of fresh arrays); each yielded chunk is a new array.
+    No array of all the scan's points is built: a caller that streams the
+    chunks (`_streamed_top`) needs memory O(chunk), whatever the
+    resolution."""
     dim, n = a.shape[0], disc.size
     if p != INF:
         powers = np.abs(disc) ** p
     per_chunk = max(1, _ORACLE_CHUNK_ROWS // n ** (dim - 2))
+    # sized for a whole chunk; a partial last chunk uses a prefix
+    shape = (min(per_chunk, n),) + (n,) * (dim - 2)
+    sums, mods = np.empty(shape, dtype=complex), np.empty(shape)
     for k in range(dim):
         free = [j for j in range(dim) if j != k]
         for lo in range(0, n, per_chunk):
             lead = disc[lo : lo + per_chunk]
+            mod = mods[: len(lead)]
             for i in range(dim):
-                tables = [a[i, k] + a[i, free[0]] * lead] + [a[i, j] * disc for j in free[1:]]
-                t = np.abs(reduce(np.add.outer, tables))
+                t = a[i, k] + a[i, free[0]] * lead
+                if dim == 3:
+                    t = np.add.outer(t, a[i, free[1]] * disc, out=sums[: len(lead)])
+                t = np.abs(t, out=None if i == 0 else mod)
                 if p != INF:
                     t **= p
                 if i == 0:
@@ -723,7 +733,10 @@ def _oracle_scan(a: np.ndarray, disc: np.ndarray, p: float):
                 else:
                     out += t
             if p != INF:
-                out /= reduce(np.add.outer, [1.0 + powers[lo : lo + len(lead)]] + [powers] * (dim - 2))
+                den = 1.0 + powers[lo : lo + len(lead)]
+                if dim == 3:
+                    den = np.add.outer(den, powers, out=mod)
+                out /= den
                 out **= 1.0 / p
             yield out.ravel()
 
@@ -758,17 +771,25 @@ def _oracle_seeds(scan, points, n_seeds: int, min_sep: float):
     values.  The walk runs on the top 4096 and their ties, streamed from the
     scan in memory O(chunk + k) (`_streamed_top`); while it yields too few
     seeds, it rescans the matrix with k four times larger, up to the whole
-    scan."""
+    scan.  The points are held one contiguous row per coordinate, and the
+    max-norm distance to a taken index is built one coordinate at a time
+    with np.maximum, over the candidates after it only (a max is exact, so
+    the seeds are those of a row-wise max)."""
     k = 4096
     while True:
         ranked, top, size = _streamed_top(scan(), k)
-        pts = points(ranked)
+        cols = np.ascontiguousarray(points(ranked).T)  # one row per coordinate
         free = np.ones(len(ranked), dtype=bool)
         taken = []
         while len(taken) < n_seeds and free.any():
             j = int(np.argmax(free))  # the first candidate still far enough
             taken.append(j)
-            free &= np.abs(pts - pts[j]).max(axis=1) >= min_sep
+            # no candidate before j is free; the max-norm distance to j of
+            # the others, one coordinate at a time
+            sep = np.abs(cols[0, j:] - cols[0, j])
+            for col in cols[1:]:
+                np.maximum(sep, np.abs(col[j:] - col[j]), out=sep)
+            free[j:] &= sep >= min_sep
         if len(taken) == n_seeds or len(ranked) == size:
             return ranked[taken], top[taken]
         k *= 4

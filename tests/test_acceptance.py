@@ -348,9 +348,9 @@ def test_criterion_9_oracle_equivalence():
         for p in (1.3, 2.0, 2.5, 4.0):
             oracle = brute_force_oracle(m, p)
             est = exact_norm_p2(op) if p == 2.0 else power_method_pnorm(op, p, starts=8)
-            worst = max(worst, abs(est.value - oracle))
+            worst = max(worst, abs(est.value - oracle) / oracle)
     elapsed = time.time() - t0
-    ok = worst <= 5e-3 and elapsed < 120.0
-    report(9, ok, f"worst |power - oracle| = {worst:.2e} (tol 5e-3)", elapsed, 120)
-    assert worst <= 5e-3
+    ok = worst <= 1e-8 and elapsed < 120.0
+    report(9, ok, f"worst |power - oracle| / oracle = {worst:.2e} (tol 1e-8)", elapsed, 120)
+    assert worst <= 1e-8, f"power and oracle differ by {worst:.2e} relative, above 1e-8"
     assert elapsed < 120.0

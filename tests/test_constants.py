@@ -5,6 +5,7 @@ import pytest
 
 from hardybench import (
     INF,
+    cli,
     cpq,
     franchetti_cp,
     gamma_pq,
@@ -12,7 +13,8 @@ from hardybench import (
     interpolation_upper,
     lambda_pq,
 )
-from hardybench.spaces import _golden_min
+from hardybench import constants
+from hardybench.spaces import _golden_max, _golden_min
 
 
 def gamma_dense_oracle(p, q, n_gamma=20001, n_x=20001):
@@ -48,6 +50,43 @@ def gamma_nested_reference(p, q):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def franchetti_full_scan_reference(p):
+    """`franchetti_cp`'s scan before it went coarse to fine: the objective
+    on all 100 001 nodes, then golden-section search around the first
+    maximum; returns (value, canonical maximizer, near-maximizers)."""
+    s = 1.0 / (p - 1.0)
+
+    def objective(alpha):
+        alpha = np.asarray(alpha, dtype=float)
+        beta = 1.0 - alpha
+        m, t = np.maximum(alpha, beta), np.minimum(alpha, beta)
+        t /= m
+        first = t ** (p - 1.0)
+        first += 1.0
+        first **= 1.0 / p
+        t **= s
+        t += 1.0
+        t **= 1.0 - 1.0 / p
+        m *= first
+        m *= t
+        return m
+
+    alphas = np.linspace(0.0, 1.0, 100_001)
+    values = np.concatenate([objective(a) for a in np.array_split(alphas, 13)])
+    top = float(np.max(values))
+    near = alphas[values >= top - 1e-9]
+    idx = int(np.argmax(values))
+    h = alphas[1] - alphas[0]
+    lo = max(0.0, alphas[idx] - 2 * h)
+    hi = min(1.0, alphas[idx] + 2 * h)
+    alpha_star, value = _golden_max(lambda a: float(objective(a)), lo, hi, 1e-12)
+    if value < top:
+        alpha_star, value = alphas[idx], top
+    if alpha_star > 0.5:
+        alpha_star = 1.0 - alpha_star
+    return float(value), float(alpha_star), near
 
 
 class TestFranchetti:
@@ -109,6 +148,59 @@ class TestFranchetti:
     def test_pinned_values(self):
         for p, value in self.PINNED:
             assert abs(franchetti_cp(p).value - value) <= 1e-12 * value
+
+
+def table_ps(p_spec, q_spec):
+    """The p at which `constants --p p_spec --q q_spec` evaluates C_p."""
+    seen = []
+
+    def spy(p):
+        seen.append(p)
+        return franchetti_cp(p)
+
+    original = cli.franchetti_cp
+    cli.franchetti_cp = spy
+    try:
+        cli.cmd_constants(cli.RunConfig(command="constants", p=p_spec, q=q_spec))
+    finally:
+        cli.franchetti_cp = original
+    return seen
+
+
+BENCHMARK_TABLES = (("1.1:4.0:0.1", "2.5"), ("1.25,1.5,2,3,4", "1.25,1.5,2,3,4"))
+EXTREME_PS = (1 + 1e-9, 1 + 1e-6, 1.0005, 1.9999, 2.0001, 200.0, 1e3, 1e6)
+# every other p at which this file calls franchetti_cp
+TEST_PS = (1.1, 1.2, 1.3, 1.5, 1.7, 2.0, 2.5, 2.6, 3.0, 4.0, 7.0, 10.0, 1e7, 1e8, 1e12, 1e300)
+
+
+class TestCoarseToFineScan:
+    @staticmethod
+    def all_ps():
+        ps = [p for spec in BENCHMARK_TABLES for p in table_ps(*spec)]
+        ps += list(EXTREME_PS) + list(TEST_PS)
+        ps += [holder_conjugate(p) for p in (1.2, 1.5, 3.0, 7.0, 1e6, 1e7, 1e8, 1e12, 1e300)]
+        ps += list(1.0 + 99.0 * np.random.default_rng(28).random(300))
+        return [p for p in ps if p > 1.0]  # C_1 = 2 is exact and scans nothing
+
+    def test_matches_the_full_scan_bit_for_bit(self):
+        ps = self.all_ps()
+        assert len(ps) > 350
+        for p in ps:
+            rep = franchetti_cp(p)
+            value, alpha, near = franchetti_full_scan_reference(p)
+            assert rep.value == value, p
+            assert rep.maximizer_or_root == alpha, p
+            np.testing.assert_array_equal(rep.near_maximizers, near, err_msg=repr(p))
+
+    def test_refines_few_nodes_except_when_flat(self):
+        ps = table_ps(*BENCHMARK_TABLES[0])
+        assert len(ps) >= 30 and 2.0 in ps
+        for p in ps:
+            nodes = franchetti_cp(p).details["nodes"]
+            if p == 2.0:
+                assert nodes == constants._CP_NODES
+            else:
+                assert nodes <= 2000, p
 
 
 class TestInterpolationUpper:

@@ -1,5 +1,6 @@
 import tracemalloc
 import warnings
+from functools import reduce
 from itertools import product
 
 import numpy as np
@@ -1046,6 +1047,52 @@ def oracle_chunks(vals, n_chunks=7):
     return lambda: iter(np.array_split(vals, n_chunks))
 
 
+def reference_oracle_scan(a, disc, p):
+    """`_oracle_scan` as it was before its buffers: every chunk allocates its
+    outer sums and moduli afresh."""
+    dim, n = a.shape[0], disc.size
+    if p != INF:
+        powers = np.abs(disc) ** p
+    per_chunk = max(1, opnorm._ORACLE_CHUNK_ROWS // n ** (dim - 2))
+    for k in range(dim):
+        free = [j for j in range(dim) if j != k]
+        for lo in range(0, n, per_chunk):
+            lead = disc[lo : lo + per_chunk]
+            for i in range(dim):
+                tables = [a[i, k] + a[i, free[0]] * lead] + [a[i, j] * disc for j in free[1:]]
+                t = np.abs(reduce(np.add.outer, tables))
+                if p != INF:
+                    t **= p
+                if i == 0:
+                    out = t
+                elif p == INF:
+                    np.maximum(out, t, out=out)
+                else:
+                    out += t
+            if p != INF:
+                out /= reduce(np.add.outer, [1.0 + powers[lo : lo + len(lead)]] + [powers] * (dim - 2))
+                out **= 1.0 / p
+            yield out.ravel()
+
+
+def reference_oracle_seeds(scan, points, n_seeds, min_sep):
+    """`_oracle_seeds` as it was before its column-wise walk: the distance
+    to each taken index is a row-wise max over every candidate's point."""
+    k = 4096
+    while True:
+        ranked, top, size = _streamed_top(scan(), k)
+        pts = points(ranked)
+        free = np.ones(len(ranked), dtype=bool)
+        taken = []
+        while len(taken) < n_seeds and free.any():
+            j = int(np.argmax(free))
+            taken.append(j)
+            free &= np.abs(pts - pts[j]).max(axis=1) >= min_sep
+        if len(taken) == n_seeds or len(ranked) == size:
+            return ranked[taken], top[taken]
+        k *= 4
+
+
 class TestOracleScanAndSeeds:
     @pytest.mark.parametrize("p", [1.0, 1.3, 4.0, INF])
     @pytest.mark.parametrize("dim, k", [(2, 60), (3, 14)])
@@ -1062,6 +1109,30 @@ class TestOracleScanAndSeeds:
         ref = materialised_scan(a, disc, p)
         assert vals.shape == ref.shape
         assert np.all(np.abs(vals - ref) <= 1e-13 * ref)
+
+    @pytest.mark.parametrize("resolution", [2000, None])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_oracle_equals_the_reference_scan_and_walk(self, monkeypatch, dim, resolution):
+        rng = np.random.default_rng([dim, 28])
+        m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        ps = (1.0, 1.3, 2.5, 4.0, INF)
+        values = [brute_force_oracle(m, p, resolution) for p in ps]
+        monkeypatch.setattr(opnorm, "_oracle_scan", reference_oracle_scan)
+        monkeypatch.setattr(opnorm, "_oracle_seeds", reference_oracle_seeds)
+        assert values == [brute_force_oracle(m, p, resolution) for p in ps]
+
+    @pytest.mark.parametrize("p", [1.0, 1.3, 4.0, INF])
+    @pytest.mark.parametrize("dim, k", [(2, 60), (3, 14)])
+    def test_scan_equals_the_reference_scan(self, rng, monkeypatch, dim, k, p):
+        a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        disc = oracle_disc(k)
+        # a partial last chunk reads a prefix of the buffers
+        monkeypatch.setattr(opnorm, "_ORACLE_CHUNK_ROWS", 7 * disc.size ** (dim - 2))
+        chunks = list(_oracle_scan(a, disc, p))
+        ref = list(reference_oracle_scan(a, disc, p))
+        assert len(chunks) == len(ref)
+        for c, r in zip(chunks, ref):
+            np.testing.assert_array_equal(c, r)
 
     @staticmethod
     def tied_arrays():
