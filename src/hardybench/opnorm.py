@@ -30,6 +30,17 @@ column scores are summed row by row, so it needs O(N) memory.  Each
 duality map (`_dual_map`) takes one modulus, one power and one
 reciprocal, and gives the norms from the same sums; a grid step writes
 both into buffers kept for the whole ascent.
+
+The brute-force oracle ranks the values of a dense scan in a running top-k
+(`_streamed_top`), which sends the scan the k-th largest value so far, the
+cut.  The dim-3 scan (`_oracle_scan`) then skips every set of points whose
+proven bound times 1 + 1e-9 lies strictly below the cut: for lead points
+z1 within r1 of zeta1 and inner points z2 within r2 of zeta2 on face k,
+|(A x)_i| <= |a_ik + a_if0 zeta1 + a_if1 zeta2| + |a_if0| r1 + |a_if1| r2
+by the triangle inequality, and ||x||_p^p >= 1 + min |z1|^p + min |z2|^p.
+A skipped point yields -inf, below the cut, which drops it anyway; every
+other value is computed by the same elementwise arithmetic, so ranking,
+seeds and the oracle's value are bit for bit those of the full scan.
 """
 
 from __future__ import annotations
@@ -54,6 +65,11 @@ _MAX_ITER = 10_000
 # coarse-scan rows per chunk; at dim 3, 1/4x of it ran as fast and 4x ran
 # 30-70 % slower, at tracemalloc peaks of 1.1, 3.6 and 12 MiB for 1/4x, 1x, 4x
 _ORACLE_CHUNK_ROWS = 1 << 16
+# disc points per block of the dim-3 scan's tiles (`_TilePruner`); the four
+# default dim-3 scans of the oracle-tables matrices (p = 1.3, 4) took about
+# 80 ms of CPU time at 3 and at 4, 4-13 % more at 5 and 6, and 17 and 32 %
+# more at 2 and 8 (best of 24 runs, one BLAS thread, x86-64 with AVX-512)
+_ORACLE_TILE = 4
 
 
 @dataclass
@@ -690,6 +706,149 @@ def operator_norm(
 # ---------------------------------------------------------------------------
 
 
+class _DiscBlocks:
+    """The disc cut into the blocks of the dim-3 scan's bound: runs of at
+    most `size` consecutive points that share a real part (on the Cartesian
+    disc, pieces of one grid row), also cut at every multiple of `period`
+    when it is given.  Block b holds the `count[b]` points from `start[b]`;
+    `centre` is the centre of its bounding box, `radius` the largest
+    |z - centre| over its points and `least` the smallest of `powers`
+    (|disc|^p, or None) over them.  Row b of `take` lists the disc indices
+    of the window of `width` points from `window[b]`, which holds the block
+    and may reach into the next."""
+
+    def __init__(self, disc: np.ndarray, powers, size: int, period: int | None = None):
+        n = disc.size
+        pos = np.arange(n)
+        run = np.ones(n, dtype=bool)
+        run[1:] = disc.real[1:] != disc.real[:-1]
+        if period:
+            run |= pos % period == 0
+        run_start = np.maximum.accumulate(np.where(run, pos, 0))
+        self.start = np.flatnonzero((pos - run_start) % size == 0)
+        self.count = np.diff(np.append(self.start, n))
+
+        def mid(x):
+            return 0.5 * (np.minimum.reduceat(x, self.start) + np.maximum.reduceat(x, self.start))
+
+        self.centre = mid(disc.real) + 1j * mid(disc.imag)
+        self.radius = np.maximum.reduceat(np.abs(disc - np.repeat(self.centre, self.count)), self.start)
+        self.least = None if powers is None else np.minimum.reduceat(powers, self.start)
+        self.width = min(size, n)
+        self.window = np.minimum(self.start, n - self.width)
+        self.take = self.window[:, None] + np.arange(self.width)
+
+
+def _prefixes(buffers, shape):
+    """A view of the given shape on the start of each buffer."""
+    size = shape[0] * shape[1]
+    return [buf.reshape(-1)[:size].reshape(shape) for buf in buffers]
+
+
+def _row_powers(terms, p: float, acc: np.ndarray, tmp: np.ndarray, reach=None) -> None:
+    """Into `acc`: the sum over i of |t_i|^p, or the max of |t_i| at
+    p = inf, over the complex arrays t_i that `terms` yields, with the
+    arrays in reach[i] added to |t_i| first when `reach` is given.  Every
+    |t_i| but the first is formed in `tmp`."""
+    for i, t in enumerate(terms):
+        s = np.abs(t, out=acc if i == 0 else tmp)
+        for r in () if reach is None else reach[i]:
+            s += r
+        if p != INF:
+            s **= p
+        if i == 0:
+            continue
+        if p == INF:
+            np.maximum(acc, s, out=acc)
+        else:
+            acc += s
+
+
+class _TilePruner:
+    """The dim-3 scan's pruning: which values of a chunk must be computed
+    under a cut, and those values.  Lead points and inner points are cut
+    into `_DiscBlocks` of `_ORACLE_TILE` points, the lead blocks also at
+    every chunk start; a tile is a lead block times an inner block.
+    `face` sets the tables of a face, `kept` pairs each lead point of the
+    kept tiles of a chunk with the tile's inner block, and `fill` computes
+    the values of those pairs' windows and scatters them into the chunk,
+    -inf elsewhere.  Both work in prefixes of the scan's buffers and of the
+    chunk."""
+
+    def __init__(self, disc: np.ndarray, powers, per_chunk: int):
+        self.disc, self.n, self.per_chunk = disc, disc.size, per_chunk
+        self.leads = _DiscBlocks(disc, powers, _ORACLE_TILE, per_chunk)
+        self.blocks = _DiscBlocks(disc, powers, _ORACLE_TILE)
+        # the lead blocks of chunk c are first[c] up to first[c + 1]
+        self.first = np.searchsorted(self.leads.start, np.arange(0, self.n + per_chunk, per_chunk))
+        if powers is not None:
+            self.window_powers = powers[self.blocks.take]
+
+    def face(self, a: np.ndarray, k: int, f0: int, f1: int) -> None:
+        """The tables of face k, with lead coordinate f0 and inner f1."""
+        leads, blocks = self.leads, self.blocks
+        self.windows = [(a[i, f1] * self.disc)[blocks.take] for i in range(3)]
+        self.lead_centres = [a[i, k] + a[i, f0] * leads.centre for i in range(3)]
+        self.inner_centres = [a[i, f1] * blocks.centre for i in range(3)]
+        self.lead_reach = [np.abs(a[i, f0]) * leads.radius for i in range(3)]
+        self.inner_reach = [np.abs(a[i, f1]) * blocks.radius for i in range(3)]
+
+    def kept(self, lo: int, p: float, thr: float, buffers):
+        """The pairs of the kept tiles of the chunk from lead row lo, the
+        tiles whose quotient is not below `thr`, as arrays of lead rows
+        (from 0) and inner blocks; or None when their windows would not
+        fit the buffers."""
+        leads, blocks = self.leads, self.blocks
+        c = lo // self.per_chunk
+        j = slice(self.first[c], self.first[c + 1])
+        u, acc, tmp = _prefixes(buffers, (j.stop - j.start, blocks.start.size))
+        terms = (np.add.outer(h[j], z, out=u) for h, z in zip(self.lead_centres, self.inner_centres))
+        reach = [(r1[j, None], r2) for r1, r2 in zip(self.lead_reach, self.inner_reach)]
+        _row_powers(terms, p, acc, tmp, reach)
+        if p != INF:
+            acc /= np.add.outer(1.0 + leads.least[j], blocks.least, out=tmp)
+        tile, b = np.divmod(np.flatnonzero(~(acc < thr)), blocks.start.size)
+        # every lead point of each kept tile, paired with the tile's inner block
+        count = leads.count[j][tile]
+        total = int(count.sum())
+        if total * (blocks.width + 1) > buffers[2].size:
+            return None
+        rows = np.repeat(leads.start[j][tile] - lo - (np.cumsum(count) - count), count)
+        rows += np.arange(total)
+        return rows, np.repeat(b, count)
+
+    def fill(self, out: np.ndarray, rows, b, heads, lead_den, p: float, sums, mods) -> None:
+        """The values of each kept pair's window, by the full scan's
+        elementwise arithmetic, scattered into the chunk `out`, whose other
+        points are set to -inf."""
+        blocks = self.blocks
+        size = rows.size * blocks.width
+        t, acc, tmp = _prefixes((sums, mods, out), (rows.size, blocks.width))
+        column = sums.reshape(-1)[size : size + rows.size, None]  # a head per pair
+
+        def gathered(i):
+            np.take(self.windows[i], b, axis=0, out=t, mode="clip")
+            np.take(heads[i], rows, out=column[:, 0], mode="clip")
+            return np.add(column, t, out=t)
+
+        _row_powers(map(gathered, range(3)), p, acc, tmp)
+        if p != INF:
+            np.take(self.window_powers, b, axis=0, out=tmp, mode="clip")
+            den = mods.reshape(-1)[size : size + rows.size, None]
+            np.take(lead_den, rows, out=den[:, 0], mode="clip")
+            acc /= np.add(den, tmp, out=tmp)
+            acc **= 1.0 / p
+        out.fill(-INF)
+        flat = out.reshape(-1)
+        # row j of `target` is flat[j : j + width]
+        target = np.lib.stride_tricks.as_strided(
+            flat, (flat.size - blocks.width + 1, blocks.width), flat.strides * 2
+        )
+        rows *= self.n
+        rows += blocks.window[b]
+        target[rows] = acc
+
+
 def _oracle_scan(a: np.ndarray, disc: np.ndarray, p: float):
     """The oracle's coarse scan: yields ||A x||_p / ||x||_p on the faces of
     the l^inf sphere, chunk by chunk in scan order.  On face k, x_k = 1 and
@@ -706,7 +865,32 @@ def _oracle_scan(a: np.ndarray, disc: np.ndarray, p: float):
     the bits are those of fresh arrays); each yielded chunk is a new array.
     No array of all the scan's points is built: a caller that streams the
     chunks (`_streamed_top`) needs memory O(chunk), whatever the
-    resolution."""
+    resolution.
+
+    The scan takes a cut by the send protocol, `cut = yield chunk`.
+    Driven by `next` or a for loop it receives None and computes every
+    value.  Sent a cut c (`_streamed_top` sends its running k-th largest
+    value), a dim-3 chunk skips what provably lies strictly below c and
+    yields -inf there; every other value is computed by the same
+    elementwise arithmetic and has the same bits (`_TilePruner`).  On face
+    k, with lead coordinate f0 and inner coordinate f1, a tile is a block
+    of lead points z1 within r1 of a centre zeta1 with |z1|^p >= m1 times a
+    block of inner points z2 within r2 of zeta2 with |z2|^p >= m2.  On it
+    output row i obeys
+        |a_ik + a_if0 z1 + a_if1 z2|
+            <= U_i = |a_ik + a_if0 zeta1 + a_if1 zeta2| + |a_if0| r1 + |a_if1| r2
+    and ||x||_p^p = 1 + |z1|^p + |z2|^p >= 1 + m1 + m2, so every value in
+    the tile is at most B = (sum_i U_i^p / (1 + m1 + m2))^{1/p}, or
+    max_i U_i at p = inf.  A tile is skipped only when B (1 + 1e-9) < c.
+    The test compares the quotient under the root with (c / (1 + 2e-9))^p
+    (c / (1 + 2e-9) at p = inf), whose rounding the doubled margin absorbs;
+    the margin 1e-9 covers the roundoff of bound and values, a few ulps
+    relative.  A value tied with c is never skipped, nor is a tile whose
+    quotient is inf or NaN (the comparison is false).  Roundoff is not
+    relative where quantities underflow, so a chunk prunes nothing unless
+    that threshold lies in [2^-1000, inf), where an error of order 2^-1070
+    is far below 1e-9 of it.  When the kept windows would not fit the
+    buffers, the whole chunk is computed."""
     dim, n = a.shape[0], disc.size
     if p != INF:
         powers = np.abs(disc) ** p
@@ -714,31 +898,41 @@ def _oracle_scan(a: np.ndarray, disc: np.ndarray, p: float):
     # sized for a whole chunk; a partial last chunk uses a prefix
     shape = (min(per_chunk, n),) + (n,) * (dim - 2)
     sums, mods = np.empty(shape, dtype=complex), np.empty(shape)
+    pruner = None if dim == 2 else _TilePruner(disc, None if p == INF else powers, per_chunk)
+    cut = None
     for k in range(dim):
         free = [j for j in range(dim) if j != k]
+        if pruner is not None:
+            inner = [a[i, free[1]] * disc for i in range(dim)]
+            pruner.face(a, k, *free)
         for lo in range(0, n, per_chunk):
             lead = disc[lo : lo + per_chunk]
-            mod = mods[: len(lead)]
-            for i in range(dim):
-                t = a[i, k] + a[i, free[0]] * lead
-                if dim == 3:
-                    t = np.add.outer(t, a[i, free[1]] * disc, out=sums[: len(lead)])
-                t = np.abs(t, out=None if i == 0 else mod)
+            # output row i's terms that depend on the lead point alone
+            heads = (a[i, k] + a[i, free[0]] * lead for i in range(dim))
+            out = np.empty((len(lead),) + shape[1:])
+            kept = None
+            if pruner is not None:
+                heads = list(heads)
+                lead_den = None if p == INF else 1.0 + powers[lo : lo + len(lead)]
+                if cut is not None:
+                    thr = cut / (1.0 + 2e-9)
+                    if p != INF:
+                        thr **= p
+                    if 2.0**-1000 <= thr < INF:
+                        kept = pruner.kept(lo, p, thr, (sums, mods, out))
+            if kept is not None:
+                pruner.fill(out, *kept, heads, lead_den, p, sums, mods)
+            else:
+                mod = mods[: len(lead)]
+                terms = heads if dim == 2 else (
+                    np.add.outer(h, t, out=sums[: len(lead)]) for h, t in zip(heads, inner)
+                )
+                _row_powers(terms, p, out, mod)
                 if p != INF:
-                    t **= p
-                if i == 0:
-                    out = t
-                elif p == INF:
-                    np.maximum(out, t, out=out)
-                else:
-                    out += t
-            if p != INF:
-                den = 1.0 + powers[lo : lo + len(lead)]
-                if dim == 3:
-                    den = np.add.outer(den, powers, out=mod)
-                out /= den
-                out **= 1.0 / p
-            yield out.ravel()
+                    den = 1.0 + powers[lo : lo + len(lead)]
+                    out /= den if dim == 2 else np.add.outer(den, powers, out=mod)
+                    out **= 1.0 / p
+            cut = yield out.ravel()
 
 
 def _streamed_top(chunks, k: int):
@@ -747,10 +941,20 @@ def _streamed_top(chunks, k: int):
     descending and then index ascending (a prefix of
     np.argsort(-vals, kind="stable") of the concatenated chunks), their
     values, and the scan's size.  A value below the k-th largest seen so far
-    is never kept, so memory is O(chunk + k)."""
+    is never kept, so memory is O(chunk + k).
+
+    `chunks` is any iterable; a generator is advanced by sending it that
+    running cut (`_oracle_scan` skips what lies strictly below it), any
+    other iterable by `next`.  The cut only rises, and every value kept is
+    at or above the cut in force when its chunk was made, so a skipped
+    value, strictly below that cut, could never have been kept: the result
+    is that of the full scan."""
     idx, top = np.empty(0, dtype=np.intp), np.empty(0)
     cut, seen = -np.inf, 0
-    for chunk in chunks:
+    chunks = iter(chunks)
+    advance = getattr(chunks, "send", lambda _: next(chunks))
+    chunk = next(chunks, None)
+    while chunk is not None:
         new = np.flatnonzero(chunk >= cut)
         # the kept indices stay ascending: earlier chunks come first
         idx, top = np.concatenate([idx, seen + new]), np.concatenate([top, chunk[new]])
@@ -759,6 +963,10 @@ def _streamed_top(chunks, k: int):
             cut = np.partition(top, top.size - k)[top.size - k]
             keep = top >= cut
             idx, top = idx[keep], top[keep]
+        try:
+            chunk = advance(cut)
+        except StopIteration:
+            chunk = None
     order = np.argsort(-top, kind="stable")
     return idx[order], top[order], seen
 
@@ -812,7 +1020,11 @@ def brute_force_oracle(matrix: np.ndarray, p: float, resolution: int | None = No
     The scan is streamed into a running top-k that keeps every value tied
     with the k-th (`_streamed_top`), so the oracle's memory is O(chunk + k)
     whatever the `resolution`; when the top k give too few seeds, the walk
-    rescans the matrix with k four times larger.
+    rescans the matrix with k four times larger.  The top-k sends the scan
+    its running cut, and a dim-3 scan skips every tile of points whose
+    proven bound, times 1 + 1e-9, is strictly below it (`_oracle_scan`):
+    the skipped values could never be ranked, so the seeds and the result
+    are bit for bit those of the full scan.
     All seeds climb as one batch, each with its own step, unconstrained,
     except that at p = inf each z is mapped to z / max(1, |z|): there the
     norm max(1, |z|) has a ridge at |z| = 1 that stalls axis moves.  The

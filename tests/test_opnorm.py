@@ -1212,6 +1212,95 @@ class TestOracleScanAndSeeds:
             assert len(runs) == scans
 
 
+def workload_3x3_matrices():
+    """The two 3 x 3 draws of the oracle-tables benchmark workload, which
+    draws 2 x 2, 2 x 2, 2 x 2, 2 x 2, 3 x 3, 3 x 3 from one generator."""
+    rng = np.random.default_rng(0x4F5241)
+    dims = (2, 2, 2, 2, 3, 3)
+    draws = [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for d in dims]
+    return draws[4:]
+
+
+def pruning_matrices():
+    """The workload's 3 x 3 matrices, 20 random complex ones, the zero
+    matrix, the identity and a permutation (where many values tie), a
+    rank-one matrix, and copies of all but the random ones scaled by
+    2^700 and 2^-700 (whose p-th powers overflow or underflow)."""
+    rng = np.random.default_rng(29)
+    u, v = rng.standard_normal(3) + 1j * rng.standard_normal(3), rng.standard_normal(3) - 0.5j
+    special = workload_3x3_matrices() + [np.zeros((3, 3)), np.eye(3), np.eye(3)[[1, 2, 0]], np.outer(u, v)]
+    randoms = [rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)) for _ in range(20)]
+    scaled = [m * s for s in (2.0**700, 2.0**-700) for m in special]
+    return [np.asarray(m, dtype=complex) for m in special + randoms + scaled]
+
+
+class SendingScan:
+    """A scan that `_streamed_top` drives by `send`, recording each chunk
+    and the cut in force when it was made (None for the first)."""
+
+    def __init__(self, scan):
+        self.scan, self.chunks, self.cuts = scan, [], []
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        return self.send(None)
+
+    def send(self, cut):
+        chunk = next(self.scan) if cut is None else self.scan.send(cut)
+        self.cuts.append(cut)
+        self.chunks.append(chunk)
+        return chunk
+
+
+def pruned_scan_skips(a, disc, p, k):
+    """Streams the scan of `a` into a top-k that sends it its cut, and
+    checks it against the scan iterated plainly: every -inf of a chunk
+    stands for a value strictly below the cut in force, every other value
+    is equal, and the top-k is the same.  Returns the points skipped and
+    the scan's size."""
+    plain = list(_oracle_scan(a, disc, p))
+    sent = SendingScan(_oracle_scan(a, disc, p))
+    top = _streamed_top(sent, k)
+    assert len(sent.chunks) == len(plain)
+    skipped = 0
+    for chunk, cut, ref in zip(sent.chunks, sent.cuts, plain):
+        gone = np.isneginf(chunk)
+        if gone.any():
+            assert cut is not None
+            assert np.all(ref[gone] < cut)
+            skipped += np.count_nonzero(gone)
+        np.testing.assert_array_equal(chunk[~gone], ref[~gone])
+    for got, want in zip(top, _streamed_top(plain, k)):
+        np.testing.assert_array_equal(got, want)
+    return skipped, top[2]
+
+
+class TestPrunedOracleScan:
+    # the copies scaled by 2^700 overflow |Ax|^p in the full scan too
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("p", [1.0, 1.05, 1.3, 2.0, 4.0, INF])
+    def test_skips_only_values_below_the_cut(self, monkeypatch, p):
+        # chunks of 7 lead points: the cut is sent many times, and the lead
+        # blocks are cut at chunk boundaries
+        disc = oracle_disc(14)
+        monkeypatch.setattr(opnorm, "_ORACLE_CHUNK_ROWS", 7 * disc.size)
+        skipped = sum(
+            pruned_scan_skips(a, disc, p, k)[0] for a in pruning_matrices() for k in (64, 4096)
+        )
+        assert skipped > 0
+
+    @pytest.mark.parametrize("p", [1.3, 4.0])
+    def test_pruning_skips_most_of_the_workload_scans(self, p):
+        # the default dim-3 disc (29 points per axis, 613 in the disc) and chunks
+        disc = oracle_disc(29)
+        assert disc.size == 613
+        for a in workload_3x3_matrices():
+            skipped, size = pruned_scan_skips(a, disc, p, 4096)
+            assert skipped >= size / 2
+
+
 class TestTiedStarts:
     @pytest.mark.parametrize("degree", [8, 16, 32])
     def test_backward_shift_witness_does_not_follow_the_seed(self, degree):
